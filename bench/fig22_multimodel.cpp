@@ -84,7 +84,11 @@ Cell run_mix(serve::ServerConfig cfg,
   for (const serve::TimedSubmission& s : mix)
     server.submit_to(s.model, (*inputs[s.stream])[s.stream_pos],
                      s.arrival_seconds, s.priority);
-  return summarize(server.drain(), wall.seconds());
+  // drain() must return before the timer is read: as two arguments of
+  // one call the evaluation order is unspecified.
+  const serve::StreamReport rep = server.drain();
+  const double wall_seconds = wall.seconds();
+  return summarize(rep, wall_seconds);
 }
 
 bool close_rel(double a, double b, double rel) {
@@ -242,7 +246,9 @@ int main() {
     server.start(seg.model);
     for (std::size_t i = 0; i < per_model; ++i)
       server.submit(seg_frames[i], solo_arrivals[i]);
-    solo_legacy = summarize(server.drain(), wall.seconds());
+    const serve::StreamReport rep = server.drain();
+    const double wall_seconds = wall.seconds();
+    solo_legacy = summarize(rep, wall_seconds);
   }
   {
     serve::ServerConfig cfg =
@@ -254,7 +260,9 @@ int main() {
     server.start();
     for (std::size_t i = 0; i < per_model; ++i)
       server.submit_to(0, seg_frames[i], solo_arrivals[i]);
-    solo_registry = summarize(server.drain(), wall.seconds());
+    const serve::StreamReport rep = server.drain();
+    const double wall_seconds = wall.seconds();
+    solo_registry = summarize(rep, wall_seconds);
   }
 
   // --- Model-mix x trace-shape sweep (2 devices, 4 workers). ----------

@@ -254,7 +254,9 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
     ctx.recorder->push_back(std::move(rec));
   }
 
-  Matrix out_feats(n_out, c_out);
+  // Cost-only passes produce a storage-free output (nothing reads it).
+  Matrix out_feats = ctx.compute_numerics ? Matrix(n_out, c_out)
+                                          : Matrix::shape_only(n_out, c_out);
 
   // Dataflow selection: MinkowskiEngine-style engines switch to
   // fetch-on-demand when the mean per-offset workload is small.

@@ -1,7 +1,6 @@
 #include "gpusim/cache.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -27,41 +26,32 @@ unsigned log2_exact(std::size_t v) {
 CacheSim::CacheSim(std::size_t capacity_bytes, int ways,
                    std::size_t line_bytes)
     : line_bytes_(floor_pow2(std::max<std::size_t>(line_bytes, 1))),
-      ways_(static_cast<std::size_t>(std::clamp(ways, 1, 64))) {
+      ways_(static_cast<std::size_t>(std::clamp(ways, 1, 64))),
+      blocks_((ways_ + kLanes - 1) / kLanes),
+      oldest_age_(static_cast<uint8_t>(ways_ - 1)) {
   line_shift_ = log2_exact(line_bytes_);
   num_sets_ = std::max<std::size_t>(1, capacity_bytes / (line_bytes_ * ways_));
   // Power-of-two sets for cheap indexing.
   num_sets_ = floor_pow2(num_sets_);
   set_shift_ = log2_exact(num_sets_);
-  tags_.assign(num_sets_ * ways_, kInvalidTag);
-  dirty_.assign(num_sets_, 0);
+  tags_.resize(num_sets_ * blocks_);
+  lanes_.resize(num_sets_ * blocks_);
+  reset();
 }
 
 void CacheSim::reset() {
-  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(dirty_.begin(), dirty_.end(), uint64_t{0});
+  TagLanes no_tags{};
+  std::fill(std::begin(no_tags.tag), std::end(no_tags.tag), kInvalidTag);
+  std::fill(tags_.begin(), tags_.end(), no_tags);
+  // Every way starts invalid and clean. Way w gets age ways-1-w, so ways
+  // fill from way 0; padding lanes get kPadAge.
+  std::vector<WayLanes> fresh(blocks_);
+  for (std::size_t i = 0; i < blocks_ * kLanes; ++i)
+    fresh[i / kLanes].age[i % kLanes] =
+        i < ways_ ? static_cast<uint8_t>(ways_ - 1 - i) : kPadAge;
+  for (std::size_t s = 0; s < num_sets_; ++s)
+    std::copy(fresh.begin(), fresh.end(), lanes_.begin() + s * blocks_);
   hits_ = read_misses_ = write_misses_ = writebacks_ = 0;
-}
-
-// Miss path (out of line; the inline header scan handles hits): the
-// victim is the back slot — the least recently used way, or an invalid
-// way (invalid tags only ever sink backward, so any invalid way reaches
-// the back before a valid one is evicted).
-std::size_t CacheSim::install_line(uint32_t* tags, uint64_t& dirty,
-                                   uint32_t tag, bool is_write) {
-  const uint64_t wbit = is_write ? 1 : 0;
-  if (is_write) {
-    ++write_misses_;  // allocate without fill (streaming store)
-  } else {
-    ++read_misses_;
-  }
-  const std::size_t back = ways_ - 1;
-  if (tags[back] != kInvalidTag && ((dirty >> back) & 1)) ++writebacks_;
-  std::memmove(tags + 1, tags, back * sizeof(uint32_t));
-  tags[0] = tag;
-  dirty = ((dirty << 1) | wbit) &
-          (ways_ == 64 ? ~uint64_t{0} : (uint64_t{1} << ways_) - 1);
-  return 1;
 }
 
 void CacheSim::throw_tag_overflow(uint64_t line_addr) const {

@@ -16,7 +16,9 @@ DenseBEV sparse_to_bev(const SparseTensor& x, ExecContext& ctx) {
   DenseBEV bev;
   bev.w = max_x + 1;
   bev.h = max_y + 1;
-  bev.data.resize(x.channels(), static_cast<std::size_t>(bev.h * bev.w));
+  const auto cells = static_cast<std::size_t>(bev.h * bev.w);
+  bev.data = ctx.compute_numerics ? Matrix(x.channels(), cells)
+                                  : Matrix::shape_only(x.channels(), cells);
 
   // Scatter-to-dense: one read + one accumulate write per point-channel.
   const double bytes =
@@ -53,8 +55,10 @@ DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
   DenseBEV y;
   y.h = x.h;
   y.w = x.w;
-  y.data.resize(static_cast<std::size_t>(c_out_),
-                static_cast<std::size_t>(x.h * x.w));
+  const auto c_out = static_cast<std::size_t>(c_out_);
+  const auto cells = static_cast<std::size_t>(x.h * x.w);
+  y.data = ctx.compute_numerics ? Matrix(c_out, cells)
+                                : Matrix::shape_only(c_out, cells);
 
   // Cost: one implicit-GEMM kernel [h*w, 9*c_in] x [9*c_in, c_out].
   const KernelCost kc =

@@ -169,7 +169,10 @@ SparseTensor concat_features(const SparseTensor& a, const SparseTensor& b,
         std::to_string(a.num_points()) + " vs " +
         std::to_string(b.num_points()) + ")");
   charge_elementwise(a.num_points(), a.channels() + b.channels(), ctx);
-  Matrix f(a.num_points(), a.channels() + b.channels());
+  const std::size_t rows = a.num_points();
+  const std::size_t cols = a.channels() + b.channels();
+  Matrix f = ctx.compute_numerics ? Matrix(rows, cols)
+                                  : Matrix::shape_only(rows, cols);
   if (ctx.compute_numerics) {
     for (std::size_t r = 0; r < f.rows(); ++r) {
       float* row = f.row(r);

@@ -49,6 +49,10 @@ Matrix pool_validated(const SparseTensor& x, PoolKind kind, int num_batches,
   if (num_batches == 0) return Matrix(0, x.channels());
 
   const std::size_t ch = x.channels();
+  // A storage-free input (a cost-only pass) pools to zeros: what its
+  // all-zero features would pool to.
+  if (!x.feats().has_storage())
+    return Matrix(static_cast<std::size_t>(num_batches), ch);
   Matrix out(static_cast<std::size_t>(num_batches), ch,
              kind == PoolKind::kMax ? -std::numeric_limits<float>::infinity()
                                     : 0.0f);

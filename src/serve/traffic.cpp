@@ -44,13 +44,20 @@ void check_field(bool ok, const char* what) {
 /// OFF windows. Windows alternate ON (length `on`) / OFF (length
 /// `off`) starting ON at t = -phase (i.e. `phase` shifts the pattern
 /// left). Exact: the returned instant has consumed exactly `need`
-/// seconds of ON time past `t`.
+/// seconds of ON time past `t`. Every iteration moves `t` forward.
 double advance_on_time(double t, double need, double on, double off,
                        double phase) {
   const double cycle = on + off;
   for (;;) {
     double pos = std::fmod(t + phase, cycle);
     if (pos < 0) pos += cycle;  // fmod keeps the dividend's sign
+    // Rounding can put `t` on the next window's start while fmod reports
+    // a position just short of the cycle: at t = 0.06 with 10 ms windows
+    // it returns 0.019999999999999997, and the 3.5e-18 s step to the
+    // start is below half an ulp of t, so t would never advance. Such a
+    // t is that start. Only a loop that could not otherwise advance
+    // takes this path, so it never changes a stream that terminates.
+    if (t + (cycle - pos) == t) pos = 0;
     if (pos < on) {
       const double avail = on - pos;
       if (need <= avail) return t + need;

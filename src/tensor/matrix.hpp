@@ -8,6 +8,7 @@
 // very different device utilization.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -17,6 +18,12 @@
 namespace ts {
 
 /// Row-major float matrix. Rows are feature vectors; columns are channels.
+///
+/// A matrix may be storage-free (`shape_only`): it carries a shape but no
+/// elements. Cost-only passes (ExecContext::compute_numerics off) produce
+/// feature tensors this way, since nothing reads their values; copying one
+/// costs nothing. size() is 0 and quantize() a no-op on such a matrix, and
+/// row()/at()/data() assert in Debug builds that storage exists.
 class Matrix {
  public:
   Matrix() = default;
@@ -25,17 +32,46 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, float fill)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+  /// A rows x cols matrix with no element storage.
+  static Matrix shape_only(std::size_t rows, std::size_t cols) {
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    return m;
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// Number of stored elements (0 for a storage-free matrix).
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
+  /// False only for a storage-free matrix with a nonzero shape.
+  bool has_storage() const { return data_.size() == rows_ * cols_; }
 
-  float* row(std::size_t r) { return data_.data() + r * cols_; }
-  const float* row(std::size_t r) const { return data_.data() + r * cols_; }
-  float& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  float at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
+  float* row(std::size_t r) {
+    assert(has_storage());
+    return data_.data() + r * cols_;
+  }
+  const float* row(std::size_t r) const {
+    assert(has_storage());
+    return data_.data() + r * cols_;
+  }
+  float& at(std::size_t r, std::size_t c) {
+    assert(has_storage());
+    return data_[r * cols_ + c];
+  }
+  float at(std::size_t r, std::size_t c) const {
+    assert(has_storage());
+    return data_[r * cols_ + c];
+  }
+  float* data() {
+    assert(has_storage());
+    return data_.data();
+  }
+  const float* data() const {
+    assert(has_storage());
+    return data_.data();
+  }
 
   void fill(float v) { data_.assign(data_.size(), v); }
   void resize(std::size_t rows, std::size_t cols) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <random>
+#include <string>
 #include <unordered_set>
 
 #include "core/conv3d.hpp"
@@ -11,7 +13,12 @@
 #include "engines/presets.hpp"
 #include "engines/runner.hpp"
 #include "gpusim/device.hpp"
+#include "nn/centerpoint.hpp"
+#include "nn/dense2d.hpp"
+#include "nn/layers.hpp"
 #include "nn/minkunet.hpp"
+#include "nn/pooling.hpp"
+#include "nn/second.hpp"
 
 namespace ts {
 namespace {
@@ -166,6 +173,119 @@ TEST(EngineBehavior, CacheSimTogglePreservesOrdering) {
     EXPECT_LT(total(torchsparse_config(), sim),
               total(baseline_config(), sim))
         << "sim=" << sim;
+  }
+}
+
+// --- Cost-only passes: numerics off changes host work, never the model. --
+
+void expect_same_timeline(const Timeline& a, const Timeline& b,
+                          const std::string& what) {
+  for (std::size_t s = 0; s < kNumStages; ++s)
+    EXPECT_EQ(a.stage_seconds(static_cast<Stage>(s)),
+              b.stage_seconds(static_cast<Stage>(s)))
+        << what << " stage " << s;
+  EXPECT_EQ(a.dram_bytes(), b.dram_bytes()) << what;
+  EXPECT_EQ(a.kernel_launches(), b.kernel_launches()) << what;
+  EXPECT_EQ(a.flops(), b.flops()) << what;
+}
+
+TEST(CostOnly, TimelinesBitEqualWithNumericsOnAndOff) {
+  // A compact cube keeps the detectors' dense BEV tails small enough to
+  // run with real numerics.
+  const SparseTensor seg_in = random_tensor(3000, 40, 4, 31);
+  const SparseTensor det_in = random_tensor(3000, 40, 5, 32);
+  spnn::MinkUNet unet(0.25, 4, 8, 33);
+  spnn::CenterPoint centerpoint(5, 34);
+  spnn::SecondDetector second(5, 35);
+  const std::vector<std::pair<std::string,
+                              std::function<void(ExecContext&)>>>
+      models = {
+          {"MinkUNet",
+           [&](ExecContext& ctx) {
+             const SparseTensor y = unet.forward(fresh_input(seg_in), ctx);
+             EXPECT_EQ(y.feats().has_storage(), ctx.compute_numerics);
+           }},
+          {"CenterPoint",
+           [&](ExecContext& ctx) {
+             const auto out = centerpoint.run(fresh_input(det_in), ctx);
+             EXPECT_EQ(out.backbone_out.feats().has_storage(),
+                       ctx.compute_numerics);
+           }},
+          {"SECOND",
+           [&](ExecContext& ctx) {
+             const auto out = second.run(fresh_input(det_in), ctx);
+             EXPECT_EQ(out.middle_out.feats().has_storage(),
+                       ctx.compute_numerics);
+           }},
+      };
+  for (const EngineConfig& cfg : paper_engines()) {
+    for (const auto& [name, run] : models) {
+      ExecContext on(rtx3090(), cfg), off(rtx3090(), cfg);
+      on.compute_numerics = true;
+      off.compute_numerics = false;
+      run(on);
+      run(off);
+      expect_same_timeline(on.timeline, off.timeline, cfg.name + " " + name);
+      EXPECT_GT(off.timeline.total_seconds(), 0.0) << cfg.name << " " << name;
+    }
+  }
+}
+
+TEST(CostOnly, ProducersReturnStorageFreeFeatures) {
+  const SparseTensor x = random_tensor(500, 12, 8, 41);
+  std::mt19937_64 rng(42);
+  Conv3dParams p;
+  p.geom = ConvGeometry{3, 1, false};
+  p.weights = spnn::make_conv_weights(3, 8, 16, rng);
+  for (const bool numerics : {false, true}) {
+    ExecContext ctx(rtx3090(), torchsparse_config());
+    ctx.compute_numerics = numerics;
+    const SparseTensor y = sparse_conv3d(fresh_input(x), p, ctx);
+    EXPECT_EQ(y.feats().rows(), y.num_points());
+    EXPECT_EQ(y.feats().cols(), 16u);
+    EXPECT_EQ(y.feats().has_storage(), numerics);
+
+    const SparseTensor cat = spnn::concat_features(y, y, ctx);
+    EXPECT_EQ(cat.feats().rows(), y.num_points());
+    EXPECT_EQ(cat.feats().cols(), 32u);
+    EXPECT_EQ(cat.feats().has_storage(), numerics);
+
+    const spnn::DenseBEV bev = spnn::sparse_to_bev(cat, ctx);
+    EXPECT_EQ(bev.data.rows(), 32u);
+    EXPECT_EQ(bev.data.cols(), static_cast<std::size_t>(bev.h * bev.w));
+    EXPECT_EQ(bev.data.has_storage(), numerics);
+
+    const spnn::Conv2d conv2d(32, 4, rng);
+    const spnn::DenseBEV head = conv2d.forward(bev, ctx);
+    EXPECT_EQ(head.data.rows(), 4u);
+    EXPECT_EQ(head.data.cols(), bev.data.cols());
+    EXPECT_EQ(head.data.has_storage(), numerics);
+  }
+}
+
+TEST(CostOnly, GlobalPoolOfStorageFreeTensorIsZero) {
+  // Cost-only features once were zero-filled; pooling them must still
+  // give the zeros (and the charge) it gave then.
+  SparseTensor zeros = random_tensor(300, 10, 6, 51);
+  std::vector<Coord> coords = zeros.coords();
+  for (std::size_t i = 0; i < coords.size(); ++i)
+    coords[i].b = static_cast<int32_t>(i % 3);
+  zeros = SparseTensor(coords, Matrix(coords.size(), 6));
+  const SparseTensor shape_only(coords, Matrix::shape_only(coords.size(), 6));
+  ASSERT_FALSE(shape_only.feats().has_storage());
+  for (const auto kind : {spnn::PoolKind::kAvg, spnn::PoolKind::kMax}) {
+    ExecContext a(rtx3090(), torchsparse_config());
+    ExecContext b(rtx3090(), torchsparse_config());
+    a.compute_numerics = b.compute_numerics = false;
+    const Matrix want = spnn::global_pool(zeros, kind, a);
+    const Matrix got = spnn::global_pool(shape_only, kind, b);
+    ASSERT_TRUE(got.has_storage());
+    EXPECT_EQ(got.rows(), 3u);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got, Matrix(3, 6));
+    expect_same_timeline(a.timeline, b.timeline, "global_pool");
+    // The declared-count overload pads with zero rows the same way.
+    EXPECT_EQ(spnn::global_pool(shape_only, kind, 5, b), Matrix(5, 6));
   }
 }
 

@@ -2,6 +2,12 @@
 // matmul utilization, device specs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "gpusim/cache.hpp"
 #include "gpusim/coalesce.hpp"
 #include "gpusim/cost_model.hpp"
@@ -70,6 +76,138 @@ TEST(CacheSim, ResetClearsState) {
   c.reset();
   EXPECT_EQ(c.hits() + c.read_misses() + c.write_misses(), 0u);
   EXPECT_EQ(c.dram_bytes(), 0.0);
+}
+
+// --- Differential check against a naive LRU reference. ---
+
+/// Textbook set-associative LRU: per-way valid/tag/dirty plus a
+/// last-use tick, linear scans, invalid-way-first victims. Same write
+/// semantics as CacheSim (write misses allocate without a fill; dirty
+/// victims count a write-back).
+class ReferenceLru {
+ public:
+  ReferenceLru(std::size_t sets, std::size_t ways, std::size_t line)
+      : sets_(sets), line_(line), ways_(sets * ways), per_set_(ways) {}
+
+  std::size_t access(uint64_t addr, std::size_t bytes, bool is_write) {
+    if (bytes == 0) return 0;
+    std::size_t misses = 0;
+    for (uint64_t l = addr / line_; l <= (addr + bytes - 1) / line_; ++l)
+      misses += access_line(l, is_write);
+    return misses;
+  }
+
+  void reset() { *this = ReferenceLru(sets_, per_set_, line_); }
+
+  std::size_t hits = 0, read_misses = 0, write_misses = 0, writebacks = 0;
+
+ private:
+  struct Way {
+    bool valid = false, dirty = false;
+    uint64_t tag = 0, last_use = 0;
+  };
+
+  std::size_t access_line(uint64_t l, bool is_write) {
+    Way* set = ways_.data() + (l % sets_) * per_set_;
+    const uint64_t tag = l / sets_;
+    ++tick_;
+    for (std::size_t w = 0; w < per_set_; ++w) {
+      if (set[w].valid && set[w].tag == tag) {
+        set[w].last_use = tick_;
+        set[w].dirty = set[w].dirty || is_write;
+        ++hits;
+        return 0;
+      }
+    }
+    ++(is_write ? write_misses : read_misses);
+    Way* victim = nullptr;
+    for (std::size_t w = 0; w < per_set_ && !victim; ++w)
+      if (!set[w].valid) victim = &set[w];
+    if (!victim) {
+      victim = &set[0];
+      for (std::size_t w = 1; w < per_set_; ++w)
+        if (set[w].last_use < victim->last_use) victim = &set[w];
+    }
+    if (victim->valid && victim->dirty) ++writebacks;
+    *victim = Way{true, is_write, tag, tick_};
+    return 1;
+  }
+
+  std::size_t sets_, line_;
+  std::vector<Way> ways_;
+  std::size_t per_set_;
+  uint64_t tick_ = 0;
+};
+
+void expect_same_counters(const CacheSim& c, const ReferenceLru& r,
+                          std::size_t step) {
+  ASSERT_EQ(c.hits(), r.hits) << "step " << step;
+  ASSERT_EQ(c.read_misses(), r.read_misses) << "step " << step;
+  ASSERT_EQ(c.write_misses(), r.write_misses) << "step " << step;
+  ASSERT_EQ(c.writebacks(), r.writebacks) << "step " << step;
+}
+
+/// Replays `steps` seeded accesses through both caches, asserting equal
+/// return values and counters after every access. Addresses span a few
+/// times the capacity (so sets both hit and thrash), are unaligned, and
+/// cover up to three lines; roughly a third are writes.
+void replay_against_reference(CacheSim& c, ReferenceLru& r,
+                              std::mt19937_64& rng, std::size_t capacity,
+                              std::size_t line, std::size_t steps) {
+  for (std::size_t i = 0; i < steps; ++i) {
+    // Mostly a hot quarter of the span, so LRU order is exercised.
+    const uint64_t span = rng() % 4 == 0 ? 4 * capacity : capacity / 4 + 1;
+    const uint64_t addr = rng() % span;
+    const std::size_t bytes = rng() % (3 * line) + (rng() % 16 == 0 ? 0 : 1);
+    const bool is_write = rng() % 3 == 0;
+    ASSERT_EQ(c.access(addr, bytes, is_write), r.access(addr, bytes, is_write))
+        << "step " << i << " addr " << addr << " bytes " << bytes;
+    expect_same_counters(c, r, i);
+  }
+}
+
+TEST(CacheSim, MatchesNaiveLruReference) {
+  for (const std::size_t line : {std::size_t{64}, std::size_t{128}}) {
+    for (const int ways : {1, 2, 3, 5, 16, 17, 64}) {
+      SCOPED_TRACE("line " + std::to_string(line) + " ways " +
+                   std::to_string(ways));
+      const std::size_t sets = 8;
+      const std::size_t capacity = sets * line * static_cast<std::size_t>(ways);
+      CacheSim c(capacity, ways, line);
+      ReferenceLru r(sets, static_cast<std::size_t>(ways), line);
+      std::mt19937_64 rng(1000 * line + static_cast<uint64_t>(ways));
+      replay_against_reference(c, r, rng, capacity, line, 4000);
+      ASSERT_GT(c.hits(), 0u);
+      ASSERT_GT(c.writebacks(), 0u);
+      // reset() restores the cold state: the replay continues in lockstep.
+      c.reset();
+      r.reset();
+      expect_same_counters(c, r, 0);
+      replay_against_reference(c, r, rng, capacity, line, 4000);
+    }
+  }
+}
+
+TEST(CacheSim, TagOverflowThrowsBeforeAnyStateChange) {
+  // One set, so a line's tag is its address + 1: the last representable
+  // tag belongs to line 2^32 - 2.
+  const std::size_t line = 128;
+  CacheSim c(4 * line, /*ways=*/4, line);
+  ReferenceLru r(1, 4, line);
+  const uint64_t last_line = 0xfffffffeull;
+  for (const uint64_t l : {uint64_t{0}, uint64_t{1}, last_line}) {
+    ASSERT_EQ(c.access(l * line, 1, true), r.access(l * line, 1, true));
+  }
+  // Spans line 2^32 - 2 (fine) and 2^32 - 1 (overflows): nothing may be
+  // touched, including the first line.
+  EXPECT_THROW(c.access(last_line * line, 2 * line, false),
+               std::runtime_error);
+  EXPECT_THROW(c.access((last_line + 5) * line, 1, true), std::runtime_error);
+  expect_same_counters(c, r, 0);
+  // The LRU order is untouched too: line 0 is still the eviction victim.
+  for (const uint64_t l : {uint64_t{1}, last_line, uint64_t{7}, uint64_t{0}})
+    ASSERT_EQ(c.access(l * line, 1, false), r.access(l * line, 1, false));
+  expect_same_counters(c, r, 1);
 }
 
 // --- Transaction coalescing (paper Fig. 8). ---

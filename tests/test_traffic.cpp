@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -83,6 +84,68 @@ TEST(Traffic, BurstyArrivalsStayInsideOnWindows) {
   const double duty = spec.on_seconds / cycle;
   EXPECT_NEAR(mean_interarrival(t), 1.0 / (spec.rate_hz * duty),
               0.08 / (spec.rate_hz * duty));
+}
+
+TEST(Traffic, BurstyNonBinaryWindowsAlwaysAdvance) {
+  // 10 ms windows are not binary-exact: at t = 0.06 fmod reports a window
+  // position a hair short of the cycle, so the step to the next window
+  // is below half an ulp of t. The generator must still advance (this
+  // spec stalls at arrival 3 without the guard).
+  TrafficSpec spec;
+  spec.process = ArrivalProcess::kBursty;
+  spec.rate_hz = 100.0;
+  spec.on_seconds = 0.01;
+  spec.off_seconds = 0.01;
+  const auto t = generate_arrivals(spec, 128, 1);
+  ASSERT_EQ(t.size(), 128u);
+  const double cycle = spec.on_seconds + spec.off_seconds;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (i > 0) EXPECT_LT(t[i - 1], t[i]) << "arrival " << i;
+    // A window start can round to fmod's end of the previous cycle.
+    const double pos = std::fmod(t[i], cycle);
+    EXPECT_TRUE(pos <= spec.on_seconds + 1e-12 || pos >= cycle - 1e-12)
+        << "arrival " << t[i] << " falls in an OFF window";
+  }
+}
+
+/// FNV-1a over the arrivals' bit patterns.
+std::uint64_t arrival_bits_digest(const std::vector<double>& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const double a : t) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &a, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Traffic, BurstyBinaryExactWindowsArrivalsPinned) {
+  // Power-of-two windows (the serving benchmark's bursty traffic) never
+  // needed the forward-progress guard, so their arrivals are pinned
+  // bit for bit to the values they had before it existed.
+  struct Case {
+    double rate_hz, on, off, phase;
+    std::uint64_t seed, digest;
+  };
+  const Case cases[] = {
+      {100.0, 1.0 / 128, 1.0 / 128, 0.0, 1, 0xae1203ebcb2f5ea2ull},
+      {2000.0, 1.0 / 128, 1.0 / 128, 0.0, 2, 0xaef83c09bc895af6ull},
+      {500.0, 1.0 / 64, 3.0 / 128, 1.0 / 256, 3, 0x79f014dd4fd3e5bbull},
+  };
+  for (const Case& c : cases) {
+    TrafficSpec spec;
+    spec.process = ArrivalProcess::kBursty;
+    spec.rate_hz = c.rate_hz;
+    spec.on_seconds = c.on;
+    spec.off_seconds = c.off;
+    spec.phase_seconds = c.phase;
+    EXPECT_EQ(arrival_bits_digest(generate_arrivals(spec, 128, c.seed)),
+              c.digest)
+        << "rate " << c.rate_hz << " seed " << c.seed;
+  }
 }
 
 TEST(Traffic, BurstyZeroOffDegeneratesToPoisson) {
