@@ -5,8 +5,8 @@
 //
 // Per-request service times are measured once through the worker pool;
 // every (policy, SLO, load, overhead) cell is then a deterministic
-// modeled schedule of those same timelines (DynamicBatcher::plan +
-// schedule_stream), exactly how bench/fig14 reuses one measurement
+// modeled schedule of those same timelines (SloBatchingPolicy::plan +
+// schedule_stream_dispatch), exactly how bench/fig14 reuses one measurement
 // across schedule configurations. The fixed per-dispatch overhead models
 // the amortizable setup (kernel-map reuse, weight staging, launch setup)
 // the paper's end-to-end wins come from; sweeping it low and high shows
@@ -35,7 +35,8 @@
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "serve/batch_runner.hpp"
-#include "serve/dynamic_batcher.hpp"
+#include "serve/serve_policies.hpp"
+#include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
 
 using namespace ts;
@@ -145,6 +146,11 @@ int main() {
           load * static_cast<double>(workers) / mean_service;
       const std::vector<double> arrivals =
           poisson_arrivals(n, rate, seed + 7);
+      std::vector<serve::ArrivalInfo> infos(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        infos[i].id = i;
+        infos[i].arrival_seconds = arrivals[i];
+      }
 
       std::printf("\n=== dispatch overhead %.2f ms (%.1fx svc), offered "
                   "load %.0f%% of %d lanes, max_batch %d ===\n",
@@ -162,10 +168,12 @@ int main() {
           reqs[i].service_seconds = measured.requests[i].service_seconds;
           reqs[i].timeline = measured.requests[i].timeline;
         }
-        const auto plan =
-            serve::DynamicBatcher::plan(arrivals, c.batcher);
-        const serve::StreamStats s =
-            serve::schedule_stream(reqs, plan, workers, overhead);
+        const auto plan = serve::SloBatchingPolicy::plan(infos, c.batcher);
+        serve::DeviceGroup group(dev, 1, 0);
+        const auto routing =
+            serve::make_routing_policy(serve::RoutePolicy::kEstimateAware);
+        const serve::StreamStats s = serve::schedule_stream_dispatch(
+            reqs, plan, group, *routing, workers, overhead);
         std::printf("%-14s %8.1f %8.2f %12.2f %12.2f %12.2f\n",
                     c.label.c_str(), s.throughput_fps, s.mean_batch_size,
                     s.queue_wait_p50_seconds * 1e3,

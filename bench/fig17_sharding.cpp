@@ -8,8 +8,8 @@
 // state is the per-device KernelMapCache, its content digests make the
 // affinity signal exact, and the modeled clock makes every number
 // deterministic. Sanity anchors pin the contract:
-//   A1  1 device => every routing policy is bit-identical to the
-//       unsharded serve path (modeled mapping/total/hit-rate/fps)
+//   A1  1 device => every routing policy yields the bit-identical
+//       schedule (modeled mapping/total/hit-rate/fps)
 //   A2  cache_affinity beats round_robin's warm hit-rate strictly on a
 //       >= 50%-duplicate stream at 2 and 4 devices
 //   A3  modeled stats identical for 1 vs 4 workers per device, at every
@@ -27,7 +27,8 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/serve_policies.hpp"
+#include "serve/server.hpp"
 #include "serve/device_group.hpp"
 #include "serve/request_queue.hpp"
 
@@ -48,25 +49,30 @@ struct Cell {
 Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
               int devices, serve::RoutePolicy policy, int workers,
               std::size_t budget) {
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = budget;
-  opt.run.borrow_input = true;  // queue owns the stream copies
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
+  RunOptions run;
+  run.borrow_input = true;  // the queue owns the stream copies
+  serve::BatcherOptions batcher;
+  batcher.policy = serve::BatchPolicy::kImmediate;
+  serve::ServerConfig cfg;
+  cfg.with_model("seg", w.model)
+      .with_fleet({{rtx2080ti(), devices}})
+      .with_routing_policy(serve::make_routing_policy(policy))
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_run(run)
+      .with_map_cache_bytes(budget)
+      .with_queue_depth(stream.size() + 1)
+      .with_batcher(batcher)
+      .with_batch_overhead(0.0005);
+  serve::Server server(cfg);
   const bench::WallTimer wall;
+  server.start();
   // Arrivals outrun one device's capacity (0.5 ms gap vs multi-ms
   // service), so the sweep measures sharding under overload — the regime
   // where device count is the capacity knob.
   for (std::size_t i = 0; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.0005 * static_cast<double>(i));
-  queue.close();
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = devices;
-  sopt.shard.route = policy;
-  const serve::StreamReport rep = runner.serve(w.model, queue, sopt);
+    server.submit(stream[i], 0.0005 * static_cast<double>(i));
+  const serve::StreamReport rep = server.drain();
   Cell c;
   c.mapping_ms = rep.stats.aggregate.stage_seconds(Stage::kMapping) * 1e3;
   c.total_ms = rep.stats.aggregate.total_seconds() * 1e3;

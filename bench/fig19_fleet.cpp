@@ -9,8 +9,8 @@
 // only through estimate_aware's per-tier service scaling, so the
 // comparison against tier-blind least_loaded isolates exactly what
 // knowing the fleet's specs is worth. Sanity anchors pin the contract:
-//   F1  fleet {2080ti x N} is bit-identical to the legacy
-//       with_device + with_devices deployment (N = 1 and 2)
+//   F1  fleet {2080ti x 1} is bit-identical to the with_device
+//       deployment (no fleet vector)
 //   F2  mixed fleets under estimate_aware strictly beat least_loaded's
 //       modeled makespan at overload (both 2- and 3-tier mixes)
 //   F3  modeled stats identical for 1 vs 4 workers per device, on
@@ -34,6 +34,7 @@
 #include "gpusim/device.hpp"
 #include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 
 using namespace ts;
@@ -50,54 +51,29 @@ struct Cell {
   serve::StreamReport report;
 };
 
+/// Serves `stream` on the fleet `tiers`; an empty tier list is the
+/// single-device with_device(2080ti) deployment F1 pins the fleet path
+/// against.
 Cell run_fleet(const Workload& w, const std::vector<SparseTensor>& stream,
                const std::vector<serve::FleetTier>& tiers,
                serve::RoutePolicy policy, int workers, std::size_t budget,
                double arrival_gap) {
   serve::ServerConfig cfg;
-  cfg.with_engine(torchsparse_config())
-      .with_workers(workers)
-      .with_fleet(tiers)
-      .with_route(policy)
-      .with_batch_overhead(0.0005)
-      .with_map_cache_bytes(budget)
-      .with_queue_depth(stream.size() + 1);
-  cfg.batcher.policy = serve::BatchPolicy::kImmediate;
-  const bench::WallTimer wall;
-  serve::Server server(cfg);
-  server.start(w.model);
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    server.submit(stream[i], arrival_gap * static_cast<double>(i));
-  Cell c;
-  c.report = server.drain();
-  c.mapping_ms =
-      c.report.stats.aggregate.stage_seconds(Stage::kMapping) * 1e3;
-  c.total_ms = c.report.stats.aggregate.total_seconds() * 1e3;
-  c.hit_rate = c.report.stats.map_cache.hit_rate();
-  c.fps = c.report.stats.throughput_fps;
-  c.makespan_ms = c.report.stats.makespan_seconds * 1e3;
-  c.wall_ms = wall.seconds() * 1e3;
-  return c;
-}
-
-/// The deployment fig17 benchmarks: single spec + device count, no
-/// fleet vector. F1 pins the fleet path bit-identical to this.
-Cell run_legacy(const Workload& w, const std::vector<SparseTensor>& stream,
-                int devices, serve::RoutePolicy policy, int workers,
-                std::size_t budget, double arrival_gap) {
-  serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti())
+  cfg.with_model("seg", w.model)
       .with_engine(torchsparse_config())
       .with_workers(workers)
-      .with_devices(devices)
-      .with_route(policy)
+      .with_routing_policy(serve::make_routing_policy(policy))
       .with_batch_overhead(0.0005)
       .with_map_cache_bytes(budget)
       .with_queue_depth(stream.size() + 1);
+  if (tiers.empty())
+    cfg.with_device(rtx2080ti());
+  else
+    cfg.with_fleet(tiers);
   cfg.batcher.policy = serve::BatchPolicy::kImmediate;
   const bench::WallTimer wall;
   serve::Server server(cfg);
-  server.start(w.model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit(stream[i], arrival_gap * static_cast<double>(i));
   Cell c;
@@ -151,7 +127,7 @@ double schedule_256(int* devices_out) {
   *devices_out = static_cast<int>(fleet.size());
   const std::size_t n = 2048;
   std::vector<serve::StreamResult> requests(n);
-  std::vector<serve::PlannedBatch> plan;
+  std::vector<serve::DispatchBatch> plan(n);
   for (std::size_t i = 0; i < n; ++i) {
     serve::StreamResult& r = requests[i];
     r.id = i;
@@ -159,13 +135,15 @@ double schedule_256(int* devices_out) {
     r.timeline.add(Stage::kMatMul, 1e-3 * static_cast<double>(i % 7 + 1));
     r.timeline.add(Stage::kMapping, 5e-4 * static_cast<double>(i % 3 + 1));
     r.service_seconds = r.timeline.total_seconds();
-    plan.push_back({i, 1, r.arrival_seconds});
+    plan[i].members = {i};
+    plan[i].dispatch_seconds = r.arrival_seconds;
   }
   serve::DeviceGroup group(fleet, 0);
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kEstimateAware);
   const bench::WallTimer wall;
-  serve::schedule_stream_sharded(requests, plan, group,
-                                 serve::RoutePolicy::kEstimateAware,
-                                 /*workers_per_device=*/2, 0.0005, nullptr);
+  serve::schedule_stream_dispatch(requests, plan, group, *routing,
+                                  /*workers_per_device=*/2, 0.0005);
   return wall.seconds() * 1e3;
 }
 
@@ -251,13 +229,11 @@ int main() {
                 d.name.c_str(), d.batches, d.busy_seconds * 1e3,
                 d.map_cache.hit_rate(), d.utilization);
 
-  // F1 cells: legacy single-spec deployments vs single-tier fleets.
-  const Cell legacy1 = run_legacy(w, stream, 1, policies[LL], 2, kBudget,
-                                  gaps[0]);
+  // F1 cells: the single-spec deployment vs a single-tier fleet.
+  const Cell single = run_fleet(w, stream, {}, policies[LL], 2, kBudget,
+                                gaps[0]);
   const Cell fleet1 = run_fleet(w, stream, {{rtx2080ti(), 1}}, policies[LL],
                                 2, kBudget, gaps[0]);
-  const Cell legacy2 = run_legacy(w, stream, 2, policies[LL], 2, kBudget,
-                                  gaps[0]);
 
   // F3 cells: worker invariance per mix (estimate_aware, overload).
   Cell w1[3], w4[3];
@@ -295,9 +271,8 @@ int main() {
     std::printf("%-66s %s\n", name, pass ? "OK" : "FAIL");
     ok = ok && pass;
   };
-  anchor("F1: single-tier fleet bit-equal to legacy deployment (N=1, 2)",
-         bit_equal_cell(fleet1, legacy1) &&
-             bit_equal_cell(cells[0][LL][0], legacy2));
+  anchor("F1: single-tier fleet bit-equal to with_device deployment",
+         bit_equal_cell(fleet1, single));
   anchor("F2: mixed fleets: estimate_aware < least_loaded makespan",
          cells[1][EST][0].makespan_ms < cells[1][LL][0].makespan_ms &&
              cells[2][EST][0].makespan_ms < cells[2][LL][0].makespan_ms);

@@ -28,6 +28,7 @@
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 
 using namespace ts;
@@ -43,13 +44,13 @@ struct Cell {
   double wall_ms = 0;
 };
 
-Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
+Cell run_cell(const std::vector<SparseTensor>& stream,
               serve::ServerConfig cfg) {
   cfg.with_queue_depth(stream.size() + 1);
   cfg.run.borrow_input = true;  // queue owns the stream copies
   serve::Server server(std::move(cfg));
   const bench::WallTimer wall;
-  server.start(w.model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit(stream[i], 0.002 * static_cast<double>(i));
   const serve::StreamReport rep = server.drain();
@@ -99,7 +100,8 @@ int main() {
   const std::size_t kBudget = std::size_t(256) << 20;
   auto base_cfg = [&](int workers) {
     serve::ServerConfig cfg;
-    cfg.with_device(rtx2080ti())
+    cfg.with_model("seg", w.model)
+        .with_device(rtx2080ti())
         .with_engine(torchsparse_config())
         .with_workers(workers)
         .with_map_cache_bytes(kBudget);
@@ -122,7 +124,7 @@ int main() {
     cfg.with_queue_depth(cycle_stream.size() + 1);
     cfg.run.borrow_input = true;
     serve::Server server(std::move(cfg));
-    server.start(w.model);
+    server.start();
     for (std::size_t i = 0; i < cycle_stream.size(); ++i)
       server.submit(cycle_stream[i], 0.002 * static_cast<double>(i));
     const serve::StreamReport rep = server.drain();
@@ -136,11 +138,11 @@ int main() {
         io::load_map_cache(image));
   }
 
-  const Cell cold_restart = run_cell(w, cycle_stream, base_cfg(4));
+  const Cell cold_restart = run_cell(cycle_stream, base_cfg(4));
   const Cell warm_restart =
-      run_cell(w, cycle_stream, base_cfg(4).with_warm_snapshot(snapshot));
+      run_cell(cycle_stream, base_cfg(4).with_warm_snapshot(snapshot));
   const Cell warm_restart_w1 =
-      run_cell(w, cycle_stream, base_cfg(1).with_warm_snapshot(snapshot));
+      run_cell(cycle_stream, base_cfg(1).with_warm_snapshot(snapshot));
 
   std::printf("\n%-22s %10s %10s %9s %8s %9s\n", "restart", "map ms",
               "total ms", "hit rate", "misses", "wall ms");
@@ -173,18 +175,19 @@ int main() {
     b.max_batch = 4;
     b.slo_budget_seconds = 0.020;
     cfg.with_batcher(b)
-        .with_devices(2)
-        .with_route(serve::RoutePolicy::kRoundRobin)
+        .with_fleet({{rtx2080ti(), 2}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kRoundRobin))
         .with_dedup_batching(dedup);
     return cfg;
   };
-  const Cell slo_dup = run_cell(w, straddle_stream, dup_cfg(false));
-  const Cell dedup_dup = run_cell(w, straddle_stream, dup_cfg(true));
+  const Cell slo_dup = run_cell(straddle_stream, dup_cfg(false));
+  const Cell dedup_dup = run_cell(straddle_stream, dup_cfg(true));
   // 0% duplicates: every digest unique, dedup must be bit-equal to slo.
   std::vector<SparseTensor> unique_stream(unique_scans.begin(),
                                           unique_scans.end());
-  const Cell slo_uniq = run_cell(w, unique_stream, dup_cfg(false));
-  const Cell dedup_uniq = run_cell(w, unique_stream, dup_cfg(true));
+  const Cell slo_uniq = run_cell(unique_stream, dup_cfg(false));
+  const Cell dedup_uniq = run_cell(unique_stream, dup_cfg(true));
 
   std::printf("\n%-22s %10s %10s %9s %8s %8s\n", "batching", "map ms",
               "total ms", "hit rate", "misses", "batches");

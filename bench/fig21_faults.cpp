@@ -33,6 +33,7 @@
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "serve/fault.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 
 using namespace ts;
@@ -61,13 +62,13 @@ struct Cell {
   double wall_ms = 0;
 };
 
-Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
+Cell run_cell(const std::vector<SparseTensor>& stream,
               serve::ServerConfig cfg, bool mixed_classes = false) {
   cfg.with_queue_depth(stream.size() + 1);
   cfg.run.borrow_input = true;  // queue owns the stream copies
   serve::Server server(std::move(cfg));
   const bench::WallTimer wall;
-  server.start(w.model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit(stream[i], kSpacing * static_cast<double>(i),
                   mixed_classes ? (i % 2 ? serve::Priority::kLow
@@ -157,11 +158,12 @@ int main() {
   const std::size_t kBudget = std::size_t(256) << 20;
   auto base_cfg = [&](int workers) {
     serve::ServerConfig cfg;
-    cfg.with_device(rtx2080ti())
+    cfg.with_model("seg", w.model)
+        .with_fleet({{rtx2080ti(), 2}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded))
         .with_engine(torchsparse_config())
         .with_workers(workers)
-        .with_devices(2)
-        .with_route(serve::RoutePolicy::kLeastLoaded)
         .with_map_cache_bytes(kBudget);
     // Dispatch-on-arrival: the fault timeline below is phrased against
     // the arrival grid, so batches must not sit in a forming window.
@@ -184,7 +186,7 @@ int main() {
     cfg.with_queue_depth(stream.size() + 1);
     cfg.run.borrow_input = true;
     serve::Server server(std::move(cfg));
-    server.start(w.model);
+    server.start();
     for (std::size_t i = 0; i < stream.size(); ++i)
       server.submit(stream[i], kSpacing * static_cast<double>(i));
     server.drain();
@@ -195,23 +197,23 @@ int main() {
   }
 
   // --- The sweep. -----------------------------------------------------
-  const Cell baseline = run_cell(w, stream, base_cfg(4));
+  const Cell baseline = run_cell(stream, base_cfg(4));
   // Non-triggering plan: lands eons after the stream; A1 pins that the
   // fault-tolerant scheduler with nothing to do is the fault-free one.
   serve::DeviceFault never{1, serve::FaultKind::kSlowdown, 1e6};
   never.duration_seconds = 1.0;
   never.slowdown_factor = 2.0;
   const Cell no_trigger = run_cell(
-      w, stream, base_cfg(4).with_fault_plan(serve::FaultPlan{{never}}));
+      stream, base_cfg(4).with_fault_plan(serve::FaultPlan{{never}}));
   const Cell cold_crash =
-      run_cell(w, stream, base_cfg(4).with_fault_plan(crash_plan));
+      run_cell(stream, base_cfg(4).with_fault_plan(crash_plan));
   const Cell cold_crash_replay =
-      run_cell(w, stream, base_cfg(4).with_fault_plan(crash_plan));
-  const Cell warm_crash = run_cell(w, stream,
+      run_cell(stream, base_cfg(4).with_fault_plan(crash_plan));
+  const Cell warm_crash = run_cell(stream,
                                    base_cfg(4)
                                        .with_fault_plan(crash_plan)
                                        .with_warm_snapshot(snapshot));
-  const Cell warm_crash_w1 = run_cell(w, stream,
+  const Cell warm_crash_w1 = run_cell(stream,
                                       base_cfg(1)
                                           .with_fault_plan(crash_plan)
                                           .with_warm_snapshot(snapshot));
@@ -220,7 +222,7 @@ int main() {
   serve::FaultToleranceOptions degrade;
   degrade.degrade_deadline_seconds[static_cast<int>(serve::Priority::kLow)] =
       0.004;
-  const Cell degraded = run_cell(w, stream,
+  const Cell degraded = run_cell(stream,
                                  base_cfg(4)
                                      .with_fault_plan(crash_plan)
                                      .with_fault_tolerance(degrade)

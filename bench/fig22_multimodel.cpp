@@ -12,7 +12,7 @@
 // worth to a capacity-bounded cache.
 // Sanity anchors (nonzero exit on failure):
 //   A1  a one-entry registry served through submit_to is bit-equal to
-//       the legacy single-model server on the same arrival schedule
+//       the same registry through the model-0 shorthand submit()
 //   A2  DRR fairness bounds the per-model e2e p99 spread between two
 //       symmetric-cost models under bursty overload, and a 4x DRR
 //       weight buys the weighted model a no-worse p99
@@ -32,6 +32,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 #include "serve/traffic.hpp"
 
@@ -203,11 +204,11 @@ int main() {
   const std::size_t kBudget = std::size_t(256) << 20;
   auto base_cfg = [&](int workers, int devices) {
     serve::ServerConfig cfg;
-    cfg.with_device(rtx2080ti())
+    cfg.with_fleet({{rtx2080ti(), devices}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
         .with_engine(torchsparse_config())
         .with_workers(workers)
-        .with_devices(devices)
-        .with_route(serve::RoutePolicy::kCacheAffinity)
         .with_map_cache_bytes(kBudget);
     return cfg;
   };
@@ -233,22 +234,23 @@ int main() {
     return serve::build_traffic_mix(streams, seed + 21);
   };
 
-  // --- A1: one-entry registry vs the legacy single-model server. ------
+  // --- A1: submit_to(0) vs the model-0 shorthand submit(). -----------
   const std::vector<double> solo_arrivals =
       serve::generate_arrivals(poisson, per_model, seed + 33);
-  Cell solo_legacy, solo_registry;
+  Cell solo_shorthand, solo_registry;
   {
-    serve::ServerConfig cfg = base_cfg(4, 2);
+    serve::ServerConfig cfg =
+        base_cfg(4, 2).with_model("minkunet", seg.model);
     cfg.with_queue_depth(per_model + 1);
     cfg.run.borrow_input = true;
     serve::Server server(std::move(cfg));
     const bench::WallTimer wall;
-    server.start(seg.model);
+    server.start();
     for (std::size_t i = 0; i < per_model; ++i)
       server.submit(seg_frames[i], solo_arrivals[i]);
     const serve::StreamReport rep = server.drain();
     const double wall_seconds = wall.seconds();
-    solo_legacy = summarize(rep, wall_seconds);
+    solo_shorthand = summarize(rep, wall_seconds);
   }
   {
     serve::ServerConfig cfg =
@@ -373,8 +375,8 @@ int main() {
     std::printf("%-58s %s\n", name, pass ? "OK" : "FAIL");
     ok = ok && pass;
   };
-  anchor("A1: one-entry registry bit-equal to legacy server",
-         same_modeled(solo_legacy, solo_registry) &&
+  anchor("A1: one-entry registry: submit_to(0) bit-equal to submit()",
+         same_modeled(solo_shorthand, solo_registry) &&
              solo_registry.per_model.size() == 1 &&
              solo_registry.per_model[0].completed == per_model);
   anchor("A2: DRR bounds p99 spread; 4x weight buys no-worse p99",

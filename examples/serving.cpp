@@ -1,11 +1,11 @@
-// Serving demo: a batch of LiDAR scans served under one serve::Server
-// deployment. Tuned grouping parameters are computed once per
+// Serving demo: a pre-collected batch of LiDAR scans served on a worker
+// pool. Tuned grouping parameters are computed once per
 // deployment key in a shared TunedParamStore and reused by every
-// request; the ServerConfig carries every serving knob, and
-// Server::run_batch shards the pre-collected batch across worker
-// threads while keeping each request's result identical to a serial
-// run. (For the streaming session API — priority classes, incremental
-// handles, sharding — see examples/streaming.cpp.)
+// request, and BatchRunner::run shards the pre-collected batch across
+// worker threads while keeping each request's result identical to a
+// serial run. (For streaming traffic through serve::Server — priority
+// classes, incremental handles, device fleets — see
+// examples/streaming.cpp.)
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -14,7 +14,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/server.hpp"
+#include "serve/batch_runner.hpp"
 #include "serve/tuned_param_store.hpp"
 
 using namespace ts;
@@ -48,13 +48,13 @@ int main() {
   std::printf("batch: %zu scans, %zu..%zu voxels\n", batch.size(),
               batch.front().num_points(), batch.back().num_points());
 
-  // 4. One ServerConfig describes the deployment; run_batch serves the
-  //    pre-collected scans on 4 workers and reports the modeled
-  //    schedule.
-  serve::ServerConfig scfg;
-  scfg.with_device(dev).with_engine(cfg).with_workers(4).with_run(run);
-  const serve::Server server(scfg);
-  const serve::BatchReport report = server.run_batch(w.model, batch);
+  // 4. Serve the pre-collected scans on 4 workers and report the
+  //    modeled schedule.
+  serve::BatchOptions opt;
+  opt.workers = 4;
+  opt.run = run;
+  const serve::BatchRunner runner(dev, cfg, opt);
+  const serve::BatchReport report = runner.run(w.model, batch);
   const serve::BatchStats& s = report.stats;
 
   std::printf("\n%zu requests on %d workers (%s, %s)\n", s.requests,

@@ -24,6 +24,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 #include "serve/traffic.hpp"
 #include "serve/tuned_param_store.hpp"
@@ -62,7 +63,8 @@ int main() {
       .with_batcher(batcher)
       .with_priority(aging)
       .with_batch_overhead(0.001);  // amortizable dispatch setup
-  serve::Server server(scfg);
+  serve::Server server(serve::ServerConfig(scfg).with_model("minkunet",
+                                                             w.model));
   std::printf("deployment: %s on %s / %s (%zu tuned layers)\n",
               w.name.c_str(), dev.name.c_str(), cfg.name.c_str(),
               run.tuned.size());
@@ -104,7 +106,7 @@ int main() {
   // 3. A live session: 12 scans, every 3rd a high-priority request
   //    (say, the vehicle's forward-facing sweep), the rest best-effort
   //    backfill.
-  server.start(w.model);
+  server.start();
   std::vector<serve::StreamHandle> handles;
   const double gap = 0.004;  // modeled 4 ms between arrivals
   for (int i = 0; i < 12; ++i) {
@@ -184,16 +186,18 @@ int main() {
   serve::ServerConfig fleet_cfg = scfg;
   serve::BatcherOptions immediate;
   immediate.policy = serve::BatchPolicy::kImmediate;
-  fleet_cfg.with_workers(2)
+  fleet_cfg.with_model("minkunet", w.model)
+      .with_workers(2)
       .with_queue_depth(32)
       .with_batcher(immediate)
       .with_batch_overhead(0.0005)
       .with_fleet({{device_spec_by_name("1080ti"), 1},
                    {device_spec_by_name("3090"), 1}})
-      .with_route(serve::RoutePolicy::kEstimateAware)
+      .with_routing_policy(
+          serve::make_routing_policy(serve::RoutePolicy::kEstimateAware))
       .with_map_cache_bytes(std::size_t(64) << 20);  // per device
   serve::Server fleet_server(fleet_cfg);
-  fleet_server.start(w.model);
+  fleet_server.start();
   int submitted = 0;
   for (int i = 0; i < 8; ++i) {
     const SparseTensor scan = make_input(
@@ -206,7 +210,7 @@ int main() {
   std::printf("\nfleet serve: %zu requests on %d devices x %d workers, "
               "%s routing (reference tier: %s)\n",
               fleet.stats.completed, fleet.stats.devices,
-              fleet.stats.workers, to_string(fleet_cfg.shard.route),
+              fleet.stats.workers, fleet_cfg.routing->name(),
               fleet_cfg.device.name.c_str());
   std::printf("  throughput    %8.1f scans/s (makespan %.2f ms)\n",
               fleet.stats.throughput_fps,
@@ -240,14 +244,16 @@ int main() {
       serve::Priority::kLow)] = 0.005;
 
   serve::ServerConfig fault_cfg = scfg;
-  fault_cfg.with_workers(2)
-      .with_devices(2)
-      .with_route(serve::RoutePolicy::kLeastLoaded)
+  fault_cfg.with_model("minkunet", w.model)
+      .with_workers(2)
+      .with_fleet({{dev, 2}})
+      .with_routing_policy(
+          serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded))
       .with_batcher(immediate)
       .with_fault_plan(serve::FaultPlan{{crash}})
       .with_fault_tolerance(tolerance);
   serve::Server fault_server(fault_cfg);
-  fault_server.start(w.model);
+  fault_server.start();
   std::vector<serve::StreamHandle> fault_handles;
   for (int i = 0; i < 12; ++i) {
     const SparseTensor scan = make_input(
@@ -321,15 +327,16 @@ int main() {
 
   serve::ServerConfig duo_cfg = scfg;
   duo_cfg.with_workers(2)
-      .with_devices(2)
-      .with_route(serve::RoutePolicy::kCacheAffinity)
+      .with_fleet({{dev, 2}})
+      .with_routing_policy(
+          serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
       .with_map_cache_bytes(std::size_t(64) << 20)
       .with_model("minkunet", w.model, /*slo_budget_seconds=*/0.008,
                   serve::Priority::kHigh, /*weight=*/2.0)
       .with_model("centerpoint", cp.model, /*slo_budget_seconds=*/0.016,
                   serve::Priority::kNormal, /*weight=*/1.0);
   serve::Server duo(duo_cfg);
-  duo.start();  // registry session: no ModelFn argument
+  duo.start();
   VoxelSpec det_voxels = detection_voxels();
   det_voxels.feature_channels = 5;  // CenterPoint input width
   for (const serve::TimedSubmission& s : mix) {

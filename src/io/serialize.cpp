@@ -1,5 +1,6 @@
 #include "io/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -42,6 +43,25 @@ uint64_t read_count(std::istream& is, uint64_t limit) {
   return n;
 }
 
+/// Reserves room for `count` elements about to be read, capped at 1 MiB:
+/// a count is only a claim until its bytes arrive, so a forged header can
+/// pre-allocate at most that far ahead of the data actually read. Larger
+/// (genuine) payloads grow geometrically as push_back consumes them.
+template <typename T>
+void reserve_ahead(std::vector<T>& v, uint64_t count) {
+  constexpr uint64_t kMaxAhead = (uint64_t(1) << 20) / sizeof(T);
+  v.reserve(static_cast<std::size_t>(std::min(count, kMaxAhead)));
+}
+
+Coord read_coord(std::istream& is) {
+  Coord c;
+  c.b = read_pod<int32_t>(is);
+  c.x = read_pod<int32_t>(is);
+  c.y = read_pod<int32_t>(is);
+  c.z = read_pod<int32_t>(is);
+  return c;
+}
+
 /// Saving to a failed/full stream must be a loud error in Debug and
 /// Release alike, not a silently truncated file discovered at load time.
 void check_write(const std::ostream& os, const char* what) {
@@ -69,13 +89,16 @@ void save_points(std::ostream& os, const std::vector<Point3>& pts) {
 std::vector<Point3> load_points(std::istream& is) {
   expect_header(is, kPointsMagic);
   const uint64_t n = read_count(is, 1ull << 32);
-  std::vector<Point3> pts(n);
-  for (Point3& p : pts) {
+  std::vector<Point3> pts;
+  reserve_ahead(pts, n);
+  for (uint64_t i = 0; i < n; ++i) {
+    Point3 p;
     p.x = read_pod<float>(is);
     p.y = read_pod<float>(is);
     p.z = read_pod<float>(is);
     p.intensity = read_pod<float>(is);
     p.time = read_pod<float>(is);
+    pts.push_back(p);
   }
   return pts;
 }
@@ -110,12 +133,10 @@ SparseTensor load_tensor(std::istream& is) {
   if (stride < 1) throw std::runtime_error("bad tensor stride");
   if (stride > kCoordSpatialMax)
     throw std::runtime_error("implausible tensor stride");
-  std::vector<Coord> coords(n);
-  for (Coord& cc : coords) {
-    cc.b = read_pod<int32_t>(is);
-    cc.x = read_pod<int32_t>(is);
-    cc.y = read_pod<int32_t>(is);
-    cc.z = read_pod<int32_t>(is);
+  std::vector<Coord> coords;
+  reserve_ahead(coords, n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const Coord cc = read_coord(is);
     if (!coord_in_packable_range(cc))
       throw std::runtime_error("coordinate out of range");
     // A stride-s coordinate is a stride-1 lattice point divided by s;
@@ -129,11 +150,15 @@ SparseTensor load_tensor(std::istream& is) {
     if (!(scaled_ok(cc.x) && scaled_ok(cc.y) && scaled_ok(cc.z)))
       throw std::runtime_error(
           "coordinate/stride combination overflows grid addressing");
+    coords.push_back(cc);
   }
+  // The feature block is read before the matrix is sized: n is backed
+  // by the coordinates just read, but c is not.
+  std::vector<float> values;
+  reserve_ahead(values, n * c);
+  for (uint64_t i = 0; i < n * c; ++i) values.push_back(read_pod<float>(is));
   Matrix feats(n, c);
-  is.read(reinterpret_cast<char*>(feats.data()),
-          static_cast<std::streamsize>(feats.size() * sizeof(float)));
-  if (!is) throw std::runtime_error("truncated feature block");
+  std::copy(values.begin(), values.end(), feats.data());
   // Downstream numerics (pooling averages, BatchNorm, dense heads)
   // assume finite features; reject poison at the format boundary.
   for (std::size_t i = 0; i < feats.size(); ++i) {
@@ -254,15 +279,18 @@ MapCacheSnapshotEntry load_map_cache_entry(std::istream& is,
     if (km->kernel_size < 1 || km->kernel_size > 64)
       throw std::runtime_error("implausible kernel size in snapshot");
     const uint64_t volume = read_count(is, 1ull << 20);
-    km->maps.resize(volume);
-    for (std::vector<MapEntry>& m : km->maps) {
+    reserve_ahead(km->maps, volume);
+    for (uint64_t k = 0; k < volume; ++k) {
+      std::vector<MapEntry>& m = km->maps.emplace_back();
       const uint64_t cnt = read_count(is, 1ull << 28);
-      m.resize(cnt);
-      for (MapEntry& me : m) {
+      reserve_ahead(m, cnt);
+      for (uint64_t i = 0; i < cnt; ++i) {
+        MapEntry me;
         me.in = read_pod<int32_t>(is);
         me.out = read_pod<int32_t>(is);
         if (me.in < 0 || me.out < 0)
           throw std::runtime_error("negative kernel-map index in snapshot");
+        m.push_back(me);
       }
     }
     km->stats.queries =
@@ -283,14 +311,13 @@ MapCacheSnapshotEntry load_map_cache_entry(std::istream& is,
     e.payload.kmap = std::move(km);
   } else if (kind == kPayloadCoords) {
     const uint64_t cnt = read_count(is, 1ull << 32);
-    auto cs = std::make_shared<std::vector<Coord>>(cnt);
-    for (Coord& c : *cs) {
-      c.b = read_pod<int32_t>(is);
-      c.x = read_pod<int32_t>(is);
-      c.y = read_pod<int32_t>(is);
-      c.z = read_pod<int32_t>(is);
+    auto cs = std::make_shared<std::vector<Coord>>();
+    reserve_ahead(*cs, cnt);
+    for (uint64_t i = 0; i < cnt; ++i) {
+      const Coord c = read_coord(is);
       if (!coord_in_packable_range(c))
         throw std::runtime_error("coordinate out of range in snapshot");
+      cs->push_back(c);
     }
     e.payload.coords = std::move(cs);
     DownsampleCounters dc;
@@ -337,9 +364,8 @@ MapCacheSnapshot load_map_cache(std::istream& is) {
   MapCacheSnapshot snap;
   snap.byte_budget = static_cast<std::size_t>(read_pod<uint64_t>(is));
   const uint64_t n = read_count(is, 1ull << 24);
-  snap.entries.reserve(static_cast<std::size_t>(n));
+  reserve_ahead(snap.entries, n);
   std::unordered_set<MapCacheKey, MapCacheKeyHash> seen;
-  seen.reserve(static_cast<std::size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     MapCacheSnapshotEntry e = load_map_cache_entry(is, snap.byte_budget);
     if (!seen.insert(e.key).second)

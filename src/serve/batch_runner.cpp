@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
-#include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "core/sync.hpp"
 #include "serve/serve_stats.hpp"
-#include "serve/server.hpp"
 
 namespace ts::serve {
 
@@ -23,42 +19,6 @@ struct ErrorSlot {
   Mutex mu;
   std::exception_ptr first TS_GUARDED_BY(mu);
 };
-
-/// Shared precondition of the legacy stream schedulers: the plan must
-/// partition [0, requests) contiguously and the overhead must be sane.
-void validate_stream_plan(std::size_t requests,
-                          const std::vector<PlannedBatch>& plan,
-                          double batch_overhead_seconds) {
-  if (!std::isfinite(batch_overhead_seconds) || batch_overhead_seconds < 0)
-    throw std::invalid_argument(
-        "schedule_stream: batch_overhead_seconds must be finite and >= 0");
-  std::size_t expected = 0;
-  for (const PlannedBatch& b : plan) {
-    if (b.first != expected || b.count == 0)
-      throw std::invalid_argument(
-          "schedule_stream: plan must cover requests contiguously from 0");
-    expected += b.count;
-  }
-  if (expected != requests)
-    throw std::invalid_argument(
-        "schedule_stream: plan covers " + std::to_string(expected) +
-        " requests, have " + std::to_string(requests));
-}
-
-/// Legacy contiguous plan -> explicit member lists (ascending ids).
-std::vector<DispatchBatch> to_dispatch_plan(
-    const std::vector<PlannedBatch>& plan) {
-  std::vector<DispatchBatch> out;
-  out.reserve(plan.size());
-  for (const PlannedBatch& b : plan) {
-    DispatchBatch d;
-    d.dispatch_seconds = b.dispatch_seconds;
-    d.members.resize(b.count);
-    std::iota(d.members.begin(), d.members.end(), b.first);
-    out.push_back(std::move(d));
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -95,44 +55,6 @@ BatchStats schedule_stats(std::vector<RequestResult>& requests,
   s.latency_p90_seconds = percentile(finishes, 0.90);
   s.latency_p99_seconds = percentile(finishes, 0.99);
   return s;
-}
-
-StreamStats schedule_stream(std::vector<StreamResult>& requests,
-                            const std::vector<PlannedBatch>& plan,
-                            int workers, double batch_overhead_seconds,
-                            std::vector<StreamBatchRecord>* batches) {
-  // A single-device group with no cache events reduces the sharded
-  // scheduler to exactly this function's historical placement math
-  // (every batch to device 0's earliest lane) — one scheduler body,
-  // bit-identical results (ScheduleStreamSharded.OneDeviceBitEquals*).
-  // The device spec is identity metadata only; the scheduler never
-  // consults it.
-  DeviceGroup single(DeviceSpec{}, 1, 0);
-  return schedule_stream_sharded(requests, plan, single,
-                                 RoutePolicy::kRoundRobin, workers,
-                                 batch_overhead_seconds, nullptr, batches);
-}
-
-StreamStats schedule_stream_sharded(
-    std::vector<StreamResult>& requests,
-    const std::vector<PlannedBatch>& plan, DeviceGroup& group,
-    RoutePolicy policy, int workers_per_device,
-    double batch_overhead_seconds,
-    const std::vector<std::vector<MapCacheEvent>>* events,
-    std::vector<StreamBatchRecord>* batches) {
-  // Legacy contiguous entry point: validate the historical contract,
-  // then delegate to the generalized scheduler (server.hpp) with the
-  // built-in routing policy for `policy` — one scheduler body for the
-  // legacy, priority, and custom-policy paths, bit-identical here.
-  validate_stream_plan(requests.size(), plan, batch_overhead_seconds);
-  if (events && events->size() != requests.size())
-    throw std::invalid_argument(
-        "schedule_stream_sharded: events must be parallel to requests");
-  const std::vector<DispatchBatch> dplan = to_dispatch_plan(plan);
-  const std::unique_ptr<RoutingPolicy> routing = make_routing_policy(policy);
-  return schedule_stream_dispatch(requests, dplan, group, *routing,
-                                  workers_per_device,
-                                  batch_overhead_seconds, events, batches);
 }
 
 BatchRunner::BatchRunner(DeviceSpec dev, EngineConfig cfg, BatchOptions opt)
@@ -217,28 +139,6 @@ BatchReport BatchRunner::run(const ModelFn& model,
   report.stats = schedule_stats(report.requests, opt_.workers);
   report.stats.map_cache = cache_stats;
   return report;
-}
-
-StreamReport BatchRunner::serve(const ModelFn& model, RequestQueue& queue,
-                                const StreamOptions& sopt) const {
-  // Thin compatibility wrapper: express the legacy option structs as a
-  // ServerConfig and run one session of the shared serving core with
-  // the default policies on the caller's thread. Pinned bit-identical
-  // to both the pre-Server implementation and a serve::Server session
-  // by tests (ServeEquivalence.*).
-  ServerConfig cfg;
-  cfg.device = dev_;
-  cfg.engine = cfg_;
-  cfg.workers = opt_.workers;
-  cfg.run = opt_.run;  // map_cache resolved in the constructor
-  cfg.batcher = sopt.batcher;
-  cfg.batch_overhead_seconds = sopt.batch_overhead_seconds;
-  cfg.reuse_context = sopt.reuse_context;
-  cfg.shard = sopt.shard;
-  SloBatchingPolicy batching(sopt.batcher);
-  const std::unique_ptr<RoutingPolicy> routing =
-      make_routing_policy(sopt.shard.route);
-  return serve_stream(model, queue, cfg, batching, *routing, nullptr);
 }
 
 }  // namespace ts::serve

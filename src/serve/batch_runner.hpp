@@ -1,34 +1,22 @@
-// Concurrent batched inference runtime (the serving-scale counterpart of
-// engines/runner).
+// Fixed-batch inference runtime (the serving-scale counterpart of
+// engines/runner) and the modeled stream report types.
 //
-// Two entry points share one worker pool design:
+// BatchRunner::run shards a pre-collected vector of point clouds across
+// worker threads and places them on a deterministic earliest-available-
+// worker schedule. Streaming traffic — admission, batching, routing,
+// incremental fulfillment — goes through serve::Server (server.hpp);
+// the StreamResult / StreamBatchRecord / StreamStats / StreamReport
+// types below are what a Server session reports.
 //
-//  * run()   — the PR-1 fixed-batch path: a pre-collected vector of point
-//              clouds is sharded across worker threads and placed on a
-//              deterministic earliest-available-worker schedule.
-//  * serve() — the streaming path: a thin compatibility wrapper over the
-//              serve::Server core (server.hpp). It drains a RequestQueue
-//              on the caller's thread, forms dispatch batches with the
-//              default SLO-aware batching policy, routes each batch onto
-//              one of StreamOptions::shard.devices modeled devices via
-//              the built-in routing policy for StreamOptions::shard.route
-//              (serve_policies.hpp), and returns a report with
-//              per-request end-to-end latency (queue wait + run)
-//              percentiles, per-priority-class percentiles, rejection
-//              counts, and per-device utilization. New code should
-//              configure a serve::Server directly; this wrapper is pinned
-//              bit-identical to it by test and kept for one-shot callers.
-//
-// Every request gets its own ExecContext state (fresh, or one reusable
-// context per worker reset between requests) and a private TensorCache
-// (via fresh_input, or a zero-copy move when RunOptions::borrow_input is
-// set), so per-request results are bit-identical to a serial run_model
-// loop — concurrency changes wall time, never outputs. Tuned grouping
-// parameters arrive through RunOptions, typically from a TunedParamStore
-// shared by all workers. A pool-owned cross-request KernelMapCache
-// (BatchOptions::map_cache_bytes) lets near-duplicate scans reuse each
-// other's kernel maps: outputs stay bit-identical, and modeled stats use
-// a deterministic submission-order replay so they remain independent of
+// Every request gets its own ExecContext state and a private
+// TensorCache (via fresh_input), so per-request results are
+// bit-identical to a serial run_model loop — concurrency changes wall
+// time, never outputs. Tuned grouping parameters arrive through
+// RunOptions, typically from a TunedParamStore shared by all workers. A
+// pool-owned cross-request KernelMapCache (BatchOptions::
+// map_cache_bytes) lets near-duplicate scans reuse each other's kernel
+// maps: outputs stay bit-identical, and modeled stats use a
+// deterministic submission-order replay so they remain independent of
 // worker count (docs/PERFORMANCE.md).
 //
 // Because layer runtimes are produced by the device cost model rather
@@ -44,7 +32,6 @@
 
 #include "engines/runner.hpp"
 #include "serve/device_group.hpp"
-#include "serve/dynamic_batcher.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_stats.hpp"
 
@@ -62,7 +49,7 @@ struct BatchOptions {
   /// independent). Ignored when run.map_cache is already set (pools can
   /// share one cache that way — and a deployment can persist one across
   /// restarts through KernelMapCache::save_snapshot / ServerConfig::
-  /// warm_start; the one-shot paths here always start cold).
+  /// warm_start; BatchRunner::run always starts cold).
   std::size_t map_cache_bytes = 0;
 };
 
@@ -102,37 +89,6 @@ struct BatchReport {
 /// BatchRunner::run and by sweeps that reuse one set of request timelines
 /// across many (batch size, worker count) schedule configurations.
 BatchStats schedule_stats(std::vector<RequestResult>& requests, int workers);
-
-// ---------------------------------------------------------------------
-// Streaming path
-// ---------------------------------------------------------------------
-
-/// Knobs of the streaming serve() path beyond BatchOptions. The
-/// serve::ServerConfig builder (server.hpp) unifies these with
-/// BatchOptions and QueueOptions for the session API; this struct
-/// remains for the one-shot wrapper.
-struct StreamOptions {
-  /// Batch-formation knobs of the default SLO-aware batching policy
-  /// (see dynamic_batcher.hpp and serve_policies.hpp).
-  BatcherOptions batcher;
-  /// Fixed modeled setup cost charged once per dispatched batch — the
-  /// amortizable slice (kernel-map reuse, weight staging, launch setup)
-  /// that makes larger batches cheaper per request. Must be >= 0.
-  double batch_overhead_seconds = 0;
-  /// Reuse one ExecContext per worker across requests (reset_context
-  /// between them) instead of constructing a fresh context per request.
-  /// Results are bit-identical either way; reuse skips the repeated
-  /// cost-model and L2-simulator construction.
-  bool reuse_context = true;
-  /// Multi-device sharding (see device_group.hpp): `shard.devices`
-  /// modeled device instances, each with its own pool of
-  /// BatchOptions::workers lanes (and measurement threads), its own
-  /// modeled kernel-map cache, and its own clock/utilization counters;
-  /// every dispatched batch is routed to one device by `shard.route`.
-  /// Defaults to a single device, which is bit-identical to the
-  /// pre-sharding serve path under every policy.
-  ShardOptions shard;
-};
 
 /// One dispatched batch's slot in the modeled schedule.
 struct StreamBatchRecord {
@@ -212,46 +168,6 @@ struct StreamReport {
   StreamStats stats;
 };
 
-/// Pure modeled scheduler for the streaming path: places planned batches
-/// (in dispatch order) on `workers` earliest-available lanes, runs each
-/// batch's members back-to-back after a once-per-batch overhead, fills
-/// every request's start/finish/queue-wait/e2e fields, and returns the
-/// stream statistics. `requests` must be in submission order with id,
-/// arrival_seconds, and service_seconds already set; `plan` must cover
-/// exactly [0, requests.size()) (std::invalid_argument otherwise).
-/// Deterministic: same inputs, same schedule, on any machine. Used by
-/// BatchRunner::serve and by policy sweeps (bench/fig15) that reuse one
-/// set of measured service times across many batching configurations.
-StreamStats schedule_stream(std::vector<StreamResult>& requests,
-                            const std::vector<PlannedBatch>& plan,
-                            int workers, double batch_overhead_seconds,
-                            std::vector<StreamBatchRecord>* batches = nullptr);
-
-/// Sharded generalization of schedule_stream: one combined routing +
-/// accounting + placement pass over the planned batches, in dispatch
-/// order. For each batch it (1) routes to a device by `policy` — using
-/// the group's accumulated modeled work and modeled cache ownership,
-/// never lane state, so routing is worker-count independent — then
-/// (2) replays the members' recorded MapCacheEvents (in submission
-/// order) through that device's modeled cache, swapping cold mapping
-/// charges for warm ones on hits exactly like MapCacheReplay, and
-/// (3) places the batch on the device's earliest-available lane.
-/// `events`, when non-null, must be parallel to `requests`; null means
-/// the kernel-map cache is disabled. `group` is reset via
-/// begin_schedule, so every call accounts from a cold modeled state.
-///
-/// With group.size() == 1 this is bit-identical — results, schedule,
-/// and stats — to MapCacheReplay over the event streams followed by
-/// schedule_stream, i.e. to the pre-sharding single-device serve path,
-/// under every policy (tests/test_device_group.cpp pins this).
-StreamStats schedule_stream_sharded(
-    std::vector<StreamResult>& requests,
-    const std::vector<PlannedBatch>& plan, DeviceGroup& group,
-    RoutePolicy policy, int workers_per_device,
-    double batch_overhead_seconds,
-    const std::vector<std::vector<MapCacheEvent>>* events = nullptr,
-    std::vector<StreamBatchRecord>* batches = nullptr);
-
 class BatchRunner {
  public:
   /// `opt.workers` is clamped to >= 1.
@@ -265,28 +181,6 @@ class BatchRunner {
   /// the pool drains; no partial report escapes.
   BatchReport run(const ModelFn& model,
                   const std::vector<SparseTensor>& inputs) const;
-
-  /// Streaming entry point (compatibility wrapper over serve_stream,
-  /// see server.hpp): drains `queue` until it is closed and empty,
-  /// forming dispatch batches with the default SLO-aware batching
-  /// policy over sopt.batcher and executing requests on the worker
-  /// pool. Producers may keep submitting concurrently while serve()
-  /// runs; every StreamHandle is fulfilled *incrementally* — a handle
-  /// resolves with its final StreamResult the moment its batch is
-  /// placed on the modeled schedule (all earlier batches placed, all
-  /// batch members measured), so other threads can collect early
-  /// results while the stream is still open. The caller of serve()
-  /// itself must still close() the queue for serve() to return.
-  ///
-  /// Thread-safety: one serve() call per queue at a time (single
-  /// consumer); safe alongside any number of producers. Exception
-  /// guarantee: on a request failure the queue is closed, every
-  /// still-unfulfilled handle receives the error, and the error is
-  /// rethrown. Determinism: the returned report depends only on the
-  /// submitted (input, arrival, priority) stream and the options —
-  /// never on thread timing or when handles are observed.
-  StreamReport serve(const ModelFn& model, RequestQueue& queue,
-                     const StreamOptions& sopt = {}) const;
 
   const BatchOptions& options() const { return opt_; }
 

@@ -31,11 +31,11 @@
 // lowest-index-lane linear scan exactly (pinned by test).
 //
 // Determinism contract. Routing runs inside the deterministic accounting
-// pass (schedule_stream_sharded), over the submission-ordered request
+// pass (schedule_stream_dispatch), over the submission-ordered request
 // stream — never over racy wall-clock cache state. Two consequences:
 //  * With one device, every policy degenerates to device 0 and the
-//    schedule/accounting math reduces exactly to the single-device
-//    serve path: results and stats are bit-identical to a 1-device run.
+//    schedule/accounting math reduces exactly to a single-device
+//    MapCacheReplay plus earliest-lane placement.
 //  * Routing inputs (accumulated modeled work, modeled cache ownership)
 //    are independent of the per-device worker-lane count, so per-device
 //    cache accounting — and every modeled serve statistic — is invariant
@@ -92,17 +92,6 @@ const char* to_string(RoutePolicy p);
 /// (std::invalid_argument) instead of overflowing pool arithmetic or
 /// allocating billions of shards.
 inline constexpr int kMaxModeledDevices = 4096;
-
-/// serve()-side sharding knobs (see StreamOptions::shard).
-struct ShardOptions {
-  /// Modeled device instances in the group; clamped to >= 1, rejected
-  /// past kMaxModeledDevices. Each gets its own worker lanes
-  /// (BatchOptions::workers *per device*), its own modeled kernel-map
-  /// cache, and its own clock/utilization counters. Ignored when
-  /// ServerConfig::fleet names per-shard specs explicitly.
-  int devices = 1;
-  RoutePolicy route = RoutePolicy::kLeastLoaded;
-};
 
 /// One tier of a heterogeneous fleet description: `count` instances of
 /// `spec` (see ServerConfig::with_fleet and expand_fleet).
@@ -194,8 +183,8 @@ class DeviceGroup {
   /// Prepares a fresh schedule pass: `workers` lanes per device at t=0,
   /// zeroed busy clocks and stats, cold modeled caches (and an empty
   /// owner index) — or snapshot-seeded ones when a warm-start manifest
-  /// is installed. Called by schedule_stream_sharded; a reused group
-  /// therefore accounts every serve call from the same starting state,
+  /// is installed. Called by every schedule pass; a reused group
+  /// therefore accounts every session from the same starting state,
   /// exactly like the single-device MapCacheReplay it generalizes.
   void begin_schedule(int workers_per_device);
 

@@ -1,4 +1,6 @@
-// SLO-aware dynamic batching policy over the modeled clock.
+// Single-class reference batcher: the SLO deadline rule in its
+// simplest form, kept as the specification the production batching
+// policies are tested against. No serving path runs it.
 //
 // The paper's end-to-end wins come from amortizing work — kernel-map
 // construction, tuned matmul grouping, kernel-launch setup — across a
@@ -16,11 +18,11 @@
 // on arrivals and the policy, never on how fast the host happens to
 // execute, which is what makes the SLO tests deterministic.
 //
-// The serving sessions of serve::Server run the priority-aware
-// generalization of this rule (SloBatchingPolicy, serve_policies.hpp),
-// which reproduces DynamicBatcher batch-for-batch on single-class
-// streams; this class remains the single-class reference
-// implementation and the BatcherOptions struct both are configured by.
+// serve::Server sessions run the priority-aware generalization of this
+// rule (SloBatchingPolicy, serve_policies.hpp). On single-class streams
+// it must reproduce DynamicBatcher batch-for-batch and stamp-for-stamp
+// (SloBatchingPolicy.SingleClassPlanMatchesDynamicBatcher). BatcherOptions,
+// the knobs both are configured by, lives here.
 #pragma once
 
 #include <cstddef>

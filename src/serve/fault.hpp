@@ -166,6 +166,9 @@ class FaultInjector {
   void reset();
 
   int devices() const { return static_cast<int>(shards_.size()); }
+  /// False for an injector built from an empty plan: it never changes
+  /// any shard's health.
+  bool has_faults() const { return !entries_.empty(); }
   const FaultToleranceOptions& options() const { return opt_; }
 
   /// Pops the earliest due event with stamp <= limit_seconds, applying

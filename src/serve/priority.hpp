@@ -25,7 +25,7 @@ namespace ts::serve {
 /// numeric values index StreamStats::per_class.
 enum class Priority {
   kHigh = 0,    // interactive / safety-critical traffic
-  kNormal = 1,  // default class; legacy submissions land here
+  kNormal = 1,  // default class of submissions that name none
   kLow = 2,     // best-effort backfill
 };
 

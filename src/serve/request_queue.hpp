@@ -92,7 +92,7 @@ struct StreamResult {
   double arrival_seconds = 0;      // modeled submit stamp
   Priority priority = Priority::kNormal;  // submitted priority class
   /// Registry index of the model that served this request (0 on a
-  /// single-model deployment — the legacy value, bit-identical paths).
+  /// single-model deployment).
   int model = 0;
   double service_seconds = 0;      // modeled single-request runtime
   double start_seconds = 0;        // modeled execution start on its lane
@@ -142,9 +142,6 @@ struct StreamResult {
 /// thread other than the one that will close()/drain(), or after
 /// Server::drain()/queue close. In particular the single controlling
 /// thread of a Server must not `get()` an undispatched request before
-/// drain(). With the legacy synchronous BatchRunner::serve, the
-/// serving loop runs on the *caller's* thread, so that caller must
-/// still submit, close(), and serve() before collecting.
 /// If serving fails, `get()` rethrows the serving error (or
 /// AdmissionError if the request was preempted by a higher-priority
 /// submission). Copyable; all copies share one result.
@@ -232,8 +229,8 @@ class RequestQueue {
   explicit RequestQueue(QueueOptions opt = {});
 
   /// Enqueues a request with a modeled arrival stamp, priority class,
-  /// and target model (registry index; 0 = single-model legacy), and
-  /// returns its handle. Preconditions (std::invalid_argument):
+  /// and target model (registry index; 0 on a single-model deployment),
+  /// and returns its handle. Preconditions (std::invalid_argument):
   /// `arrival_seconds` is finite, non-negative, and non-decreasing
   /// across submissions; `model` >= 0. Throws AdmissionError when the
   /// queue is closed or `max_depth` requests are already pending and no

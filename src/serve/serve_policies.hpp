@@ -126,8 +126,8 @@ class BatchingPolicy {
 /// kImmediate / kFullBatch keep their dynamic_batcher.hpp meanings
 /// (cap 1 / no deadline). On a stream where every request has the same
 /// priority, all three policies reproduce DynamicBatcher's plan
-/// batch-for-batch and stamp-for-stamp (pinned by test) — which is how
-/// the legacy BatchRunner::serve wrapper stays bit-identical.
+/// batch-for-batch and stamp-for-stamp (pinned by test against that
+/// reference).
 /// Per-model batching parameters for a multi-model SloBatchingPolicy:
 /// the model's SLO wait budget (deadline trigger) and its deficit-round-
 /// robin weight (cross-model fairness share).

@@ -14,18 +14,18 @@
 
 namespace ts::serve {
 
-/// One priority class's modeled latency outcome within a served stream
-/// (StreamStats::per_class). Percentiles are over the class's own
-/// requests; zeros when the class saw no traffic. Deterministic and
-/// worker-count invariant like every other modeled serve statistic.
-struct PriorityClassStats {
-  Priority priority = Priority::kNormal;
+/// The modeled outcome of one slice of a served stream — a priority
+/// class or a model: served and failed counts, fault retries, and
+/// queue-wait / end-to-end percentiles over the slice's own requests
+/// (zeros when the slice saw no traffic). Deterministic and worker-count
+/// invariant like every other modeled serve statistic.
+struct LatencySummary {
   std::size_t completed = 0;
-  /// Admitted-but-failed requests in this class (typed ServeErrorCode
-  /// results: retries exhausted, no healthy device, deadline shed).
+  /// Admitted-but-failed requests (typed ServeErrorCode results:
+  /// retries exhausted, no healthy device, deadline shed).
   std::size_t failed = 0;
-  /// Extra placement attempts fault losses forced on this class's
-  /// served requests (sum of attempts - 1).
+  /// Extra placement attempts fault losses forced on the slice's served
+  /// requests (sum of attempts - 1).
   std::size_t retries = 0;
   double queue_wait_p50_seconds = 0;
   double queue_wait_p90_seconds = 0;
@@ -35,22 +35,17 @@ struct PriorityClassStats {
   double e2e_p99_seconds = 0;
 };
 
-/// One model's modeled outcome within a served stream
-/// (StreamStats::per_model) — the per-model mirror of
-/// PriorityClassStats, extended with the admission and cache-warmth
-/// counters a multi-model operator watches per tenant. Percentiles are
-/// over the model's own requests; zeros when the model saw no traffic.
-/// Deterministic and worker-count invariant like every other modeled
-/// serve statistic.
-struct ModelStats {
+/// One priority class's outcome (StreamStats::per_class).
+struct PriorityClassStats : LatencySummary {
+  Priority priority = Priority::kNormal;
+};
+
+/// One model's outcome (StreamStats::per_model), extended with the
+/// admission and cache-warmth counters a multi-model operator watches
+/// per tenant.
+struct ModelStats : LatencySummary {
   /// Registry index this entry describes (position in per_model).
   int model = 0;
-  std::size_t completed = 0;
-  /// Admitted-but-failed requests (typed ServeErrorCode results).
-  std::size_t failed = 0;
-  /// Extra placement attempts fault losses forced on this model's
-  /// served requests (sum of attempts - 1).
-  std::size_t retries = 0;
   /// Admission-control rejections of this model's submissions
   /// (RequestQueue::rejected_by_model).
   std::size_t rejected = 0;
@@ -60,12 +55,6 @@ struct ModelStats {
   /// model's identical input can never inflate a model's warm hits.
   std::size_t cache_hits = 0;
   std::size_t cache_lookups = 0;
-  double queue_wait_p50_seconds = 0;
-  double queue_wait_p90_seconds = 0;
-  double queue_wait_p99_seconds = 0;
-  double e2e_p50_seconds = 0;
-  double e2e_p90_seconds = 0;
-  double e2e_p99_seconds = 0;
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample.

@@ -65,18 +65,9 @@ ServerConfig& ServerConfig::with_reuse_context(bool on) {
   reuse_context = on;
   return *this;
 }
-ServerConfig& ServerConfig::with_devices(int n) {
-  shard.devices = n;
-  return *this;
-}
 ServerConfig& ServerConfig::with_fleet(const std::vector<FleetTier>& tiers) {
   fleet = expand_fleet(tiers);  // validates; throws invalid_argument
   device = fleet.front();       // the measurement reference spec
-  shard.devices = static_cast<int>(fleet.size());
-  return *this;
-}
-ServerConfig& ServerConfig::with_route(RoutePolicy r) {
-  shard.route = r;
   return *this;
 }
 ServerConfig& ServerConfig::with_batching_policy(
@@ -140,7 +131,7 @@ ServerConfig& ServerConfig::with_model(std::string name, ModelFn fn,
   return with_model(std::move(entry));
 }
 ServerConfig& ServerConfig::with_model(ModelEntry entry) {
-  // The namespace IS the registry index: model 0 keeps the legacy digest
+  // The namespace IS the registry index: model 0 keeps the unsalted digest
   // space, later models get independent remaps. Stamping here (and again
   // in Server's constructor) makes cross-model isolation structural.
   entry.cache_namespace = static_cast<uint64_t>(models.size());
@@ -201,13 +192,17 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 /// One batch at a time, in dispatch order: route -> per-device cache
 /// accounting -> lane placement, accumulating everything finalize()
 /// needs for the stream statistics. This is the single scheduler body
-/// behind both the one-shot schedule_stream_dispatch (and through it
-/// the legacy schedule_stream/_sharded wrappers) and the incremental
-/// serve_stream core — which is what keeps the legacy and session
-/// paths bit-identical by construction.
+/// behind both the one-shot schedule_stream_dispatch and the incremental
+/// serve_stream core, which keeps the two bit-identical by construction.
 ///
-/// Fault mode (a non-null FaultInjector) layers the fault-tolerant
-/// scheduler on top without touching the fault-free code path:
+/// Every batch goes through the fault-tolerant scheduler. A fault-free
+/// run is its degenerate case — an injector built from an empty plan
+/// (and default tolerance knobs) reports every shard UP with a service
+/// factor of exactly 1.0, never makes a batch vulnerable, sheds
+/// nothing, and charges no retry wait, so each batch is placed and
+/// finalized in the same feed() call. That injector is never attached
+/// to the DeviceGroup, which keeps least_loaded/owner_of on their O(1)
+/// fault-free paths.
 ///
 ///  * Every fault decision — which batches a fault kills, retry
 ///    stamps, shed projections, retry_wait penalties — runs on a
@@ -219,8 +214,7 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 ///  * Finalization is deferred: a placed batch's results ship (and its
 ///    members' promises fulfill, via `on_final`) only once no pending
 ///    crash/stall on its device can still activate before its shadow
-///    finish (FaultInjector::vulnerable). Without an injector every
-///    batch is final at placement — the legacy behavior, bit-exact.
+///    finish (FaultInjector::vulnerable).
 ///  * Cache events replay on the *first* attempt only: a retried batch
 ///    keeps its attempt-1 modeled service times. Replaying again would
 ///    double-apply the warm-hit deltas to member timelines; modeling
@@ -229,12 +223,12 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 class StreamPlacer {
  public:
   /// `on_final` (optional) fires per member, in batch-member order, the
-  /// moment that member's result is final — placement time without an
-  /// injector, deferred finalization (or typed failure) with one.
+  /// moment that member's result is final — at placement when no fault
+  /// can reach it, else at deferred finalization (or typed failure).
   StreamPlacer(DeviceGroup& group, RoutingPolicy& routing,
                int workers_per_device, double batch_overhead_seconds,
                RequestAt request_at, EventsAt events_at, bool cached,
-               FaultInjector* injector = nullptr,
+               FaultInjector& injector,
                std::function<void(std::size_t)> on_final = {},
                int num_models = 1)
       : group_(group),
@@ -244,7 +238,7 @@ class StreamPlacer {
         request_at_(std::move(request_at)),
         events_at_(std::move(events_at)),
         cached_(cached),
-        injector_(injector),
+        injector_(&injector),
         on_final_(std::move(on_final)),
         class_waits_(kNumPriorityClasses),
         class_e2es_(kNumPriorityClasses),
@@ -260,43 +254,35 @@ class StreamPlacer {
     model_cache_hits_.assign(nm, 0);
     model_cache_lookups_.assign(nm, 0);
     group_.begin_schedule(workers_);
-    if (injector_) {
-      injector_->reset();
-      shadow_free_.assign(static_cast<std::size_t>(group_.size()), 0.0);
-      group_.attach_fault_injector(injector_);
-    }
+    injector_->reset();
+    shadow_free_.assign(static_cast<std::size_t>(group_.size()), 0.0);
+    if (injector_->has_faults()) group_.attach_fault_injector(injector_);
   }
 
   ~StreamPlacer() {
-    if (injector_) group_.attach_fault_injector(nullptr);
+    if (injector_->has_faults()) group_.attach_fault_injector(nullptr);
   }
 
   /// Consumes the next batch in dispatch order (caller guarantees every
-  /// member is measured and every earlier batch was fed). Fault-free:
-  /// places immediately and the members are final on return. Fault
-  /// mode: first processes every fault event and due retry up to the
-  /// batch's dispatch stamp, then places (or sheds/defers) it.
+  /// member is measured and every earlier batch was fed): processes
+  /// every fault event and due retry up to the batch's dispatch stamp,
+  /// then places (or sheds/defers) it. Fault-free, the members are
+  /// final on return.
   void feed(const DispatchBatch& b) {
     if (b.members.empty())
       throw std::invalid_argument(
           "serve: batching policy emitted an empty batch");
     const std::size_t id = next_batch_id_++;
-    if (!injector_) {
-      place_legacy(id, b);
-      return;
-    }
     process_until(b.dispatch_seconds, static_cast<long long>(id));
     attempt_place(id, b.members, b.dispatch_seconds, b.dispatch_seconds, 1,
                   0.0);
     finalize_sweep();
   }
 
-  /// Fault mode end-of-stream drain: after the last batch is fed, runs
-  /// the remaining fault events and retries to quiescence so every
-  /// admitted request is either served or carries a typed failure.
-  /// No-op without an injector.
+  /// End-of-stream drain: after the last batch is fed, runs the
+  /// remaining fault events and retries to quiescence so every admitted
+  /// request is either served or carries a typed failure.
   void finish_stream() {
-    if (!injector_) return;
     injector_->end_of_plan();
     for (;;) {
       const double es = injector_->next_event_stamp();
@@ -348,7 +334,7 @@ class StreamPlacer {
     s.failed = failed_;
     s.retries = retries_total_;
     s.redispatched_batches = redispatched_batches_;
-    s.faults_injected = injector_ ? injector_->activations() : 0;
+    s.faults_injected = injector_->activations();
     if (!retry_waits_.empty()) {
       std::sort(retry_waits_.begin(), retry_waits_.end());
       s.retry_wait_p99_seconds = percentile(retry_waits_, 0.99);
@@ -362,13 +348,11 @@ class StreamPlacer {
       pc.retries = class_retries_[static_cast<std::size_t>(c)];
     }
     // Per-model counters (rejections are the caller's to fill — only
-    // the admission queue knows them). Completed counts are final here:
-    // every placed request pushed its wait sample already.
+    // the admission queue knows them).
     s.per_model.resize(static_cast<std::size_t>(num_models_));
     for (int m = 0; m < num_models_; ++m) {
       ModelStats& pm = s.per_model[static_cast<std::size_t>(m)];
       pm.model = m;
-      pm.completed = model_waits_[static_cast<std::size_t>(m)].size();
       pm.failed = model_failed_[static_cast<std::size_t>(m)];
       pm.retries = model_retries_[static_cast<std::size_t>(m)];
       pm.cache_hits = model_cache_hits_[static_cast<std::size_t>(m)];
@@ -397,35 +381,10 @@ class StreamPlacer {
     s.e2e_p50_seconds = percentile(e2es_, 0.50);
     s.e2e_p90_seconds = percentile(e2es_, 0.90);
     s.e2e_p99_seconds = percentile(e2es_, 0.99);
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      PriorityClassStats& pc = s.per_class[static_cast<std::size_t>(c)];
-      std::vector<double>& w = class_waits_[static_cast<std::size_t>(c)];
-      std::vector<double>& e = class_e2es_[static_cast<std::size_t>(c)];
-      pc.completed = w.size();
-      if (w.empty()) continue;
-      std::sort(w.begin(), w.end());
-      std::sort(e.begin(), e.end());
-      pc.queue_wait_p50_seconds = percentile(w, 0.50);
-      pc.queue_wait_p90_seconds = percentile(w, 0.90);
-      pc.queue_wait_p99_seconds = percentile(w, 0.99);
-      pc.e2e_p50_seconds = percentile(e, 0.50);
-      pc.e2e_p90_seconds = percentile(e, 0.90);
-      pc.e2e_p99_seconds = percentile(e, 0.99);
-    }
-    for (int m = 0; m < num_models_; ++m) {
-      ModelStats& pm = s.per_model[static_cast<std::size_t>(m)];
-      std::vector<double>& w = model_waits_[static_cast<std::size_t>(m)];
-      std::vector<double>& e = model_e2es_[static_cast<std::size_t>(m)];
-      if (w.empty()) continue;
-      std::sort(w.begin(), w.end());
-      std::sort(e.begin(), e.end());
-      pm.queue_wait_p50_seconds = percentile(w, 0.50);
-      pm.queue_wait_p90_seconds = percentile(w, 0.90);
-      pm.queue_wait_p99_seconds = percentile(w, 0.99);
-      pm.e2e_p50_seconds = percentile(e, 0.50);
-      pm.e2e_p90_seconds = percentile(e, 0.90);
-      pm.e2e_p99_seconds = percentile(e, 0.99);
-    }
+    for (std::size_t c = 0; c < s.per_class.size(); ++c)
+      summarize(class_waits_[c], class_e2es_[c], s.per_class[c]);
+    for (std::size_t m = 0; m < s.per_model.size(); ++m)
+      summarize(model_waits_[m], model_e2es_[m], s.per_model[m]);
     s.aggregate = aggregate_;
 
     // Per-device clocks and the group-wide cache summary.
@@ -449,6 +408,22 @@ class StreamPlacer {
   }
 
  private:
+  /// Fills one slice's completed count and wait/e2e percentiles from
+  /// its samples (sorted in place).
+  static void summarize(std::vector<double>& waits, std::vector<double>& e2es,
+                        LatencySummary& out) {
+    out.completed = waits.size();
+    if (waits.empty()) return;
+    std::sort(waits.begin(), waits.end());
+    std::sort(e2es.begin(), e2es.end());
+    out.queue_wait_p50_seconds = percentile(waits, 0.50);
+    out.queue_wait_p90_seconds = percentile(waits, 0.90);
+    out.queue_wait_p99_seconds = percentile(waits, 0.99);
+    out.e2e_p50_seconds = percentile(e2es, 0.50);
+    out.e2e_p90_seconds = percentile(e2es, 0.90);
+    out.e2e_p99_seconds = percentile(e2es, 0.99);
+  }
+
   /// A batch placed on real lanes whose outcome is not yet final: a
   /// pending crash/stall on its device could still kill it. Keyed by
   /// batch id in `live_`.
@@ -571,36 +546,7 @@ class StreamPlacer {
     ++placed_batches_;
   }
 
-  /// The fault-free scheduler body: route -> cache replay -> lane
-  /// placement -> immediate finalization. Bit-identical to every
-  /// pre-fault release (and exercised by every run without a plan).
-  void place_legacy(std::size_t id, const DispatchBatch& b) {
-    // Route. Policy inputs (accumulated modeled work, modeled cache
-    // ownership, members' reference-device measurements) are independent
-    // of lane count, so routing — and with it every per-device cache
-    // decision — is worker-count invariant. The members' timelines are
-    // their cold measurements at this point (this batch's cache replay
-    // runs after routing), so estimate-based policies see the same
-    // deterministic inputs cached or not.
-    const int dev = route_batch(id, b.members, b.dispatch_seconds);
-    if (cached_) replay_members(dev, b.members);
-    // Place on the device's earliest-available lane. Member service
-    // times go through the routing policy's per-device estimate hook —
-    // the identity for homogeneous groups, a speed factor for
-    // heterogeneous ones — so lane occupancy, busy accounting, and
-    // least-loaded inputs all see the same device-local seconds.
-    services_.clear();
-    for (const std::size_t m : b.members)
-      services_.push_back(routing_.device_service_estimate(
-          dev, request_at_(m).service_seconds));
-    double start = 0, finish = 0;
-    const int lane = group_.place_batch(dev, b.dispatch_seconds, overhead_,
-                                        services_, &start, &finish);
-    finalize_placed(id, b.members, services_, b.dispatch_seconds, start,
-                    lane, dev, 1, 0.0);
-  }
-
-  // -- Fault-mode event loop ------------------------------------------
+  // -- Fault event loop ------------------------------------------------
 
   /// Processes every fault event and due retry with a stamp <= `now`
   /// (the next batch's dispatch stamp), in modeled-time order with
@@ -712,6 +658,11 @@ class StreamPlacer {
                        Retry{std::move(members), d0, n - 1, first_vstart});
       return;
     }
+    // Routing inputs (accumulated modeled work, modeled cache ownership,
+    // the members' cold reference-device measurements — this batch's
+    // cache replay runs after routing) are independent of lane count,
+    // so routing and every per-device cache decision are worker-count
+    // invariant.
     int dev = route_batch(id, members, t);
     // The routing contract never required health awareness; a DOWN
     // answer (round-robin, custom policies) falls back to the
@@ -745,6 +696,10 @@ class StreamPlacer {
     // Cache events replay on the first attempt only (see class doc).
     if (cached_ && n == 1) replay_members(dev, kept);
 
+    // Member services go through the routing policy's per-device
+    // estimate hook (a speed factor on heterogeneous fleets), so lane
+    // occupancy, busy accounting, and least-loaded inputs all see the
+    // same device-local seconds.
     std::vector<double> services;
     services.reserve(kept.size());
     const double factor = injector_->service_factor(dev);
@@ -827,7 +782,6 @@ class StreamPlacer {
   bool cached_;
   FaultInjector* injector_;
   std::function<void(std::size_t)> on_final_;
-  std::vector<double> services_;  // scratch, reused per batch
   std::size_t next_batch_id_ = 0;
   std::size_t placed_batches_ = 0;
   std::size_t placed_requests_ = 0;
@@ -842,7 +796,7 @@ class StreamPlacer {
   double sum_service_ = 0;
   double last_finish_ = 0;
   Timeline aggregate_;
-  // Fault-mode state. Every quantity here lives on the shadow clock /
+  // Fault state. Every quantity here lives on the shadow clock /
   // dispatch order, never on real lane state — the worker-invariance
   // pillar.
   std::vector<double> shadow_free_;  // per-device single-lane cursor
@@ -855,6 +809,19 @@ class StreamPlacer {
   std::array<std::size_t, kNumPriorityClasses> class_retries_{};
   std::vector<double> retry_waits_;
 };
+
+/// The injector a schedule pass runs under. Without faults it is built
+/// from an empty plan and default tolerance knobs — whatever degrade
+/// deadlines or probation the caller configured only apply once a
+/// fault plan is active.
+FaultInjector make_injector(const FaultPlan* plan,
+                            const FaultToleranceOptions* tolerance,
+                            int devices) {
+  if (!plan || plan->faults.empty())
+    return FaultInjector(FaultPlan{}, FaultToleranceOptions{}, devices);
+  return FaultInjector(*plan, tolerance ? *tolerance : FaultToleranceOptions{},
+                       devices);
+}
 
 }  // namespace
 
@@ -913,20 +880,15 @@ StreamStats schedule_stream_dispatch(
 
   // The injector outlives the placer (whose destructor detaches it
   // from the caller-owned group).
-  const bool faulty = fault_plan && !fault_plan->faults.empty();
-  std::optional<FaultInjector> injector;
-  if (faulty)
-    injector.emplace(*fault_plan,
-                     fault_tolerance ? *fault_tolerance
-                                     : FaultToleranceOptions{},
-                     group.size());
+  FaultInjector injector = make_injector(fault_plan, fault_tolerance,
+                                         group.size());
   StreamPlacer placer(
       group, routing, workers_per_device, batch_overhead_seconds,
       [&requests](std::size_t i) -> StreamResult& { return requests[i]; },
       [events](std::size_t i) {
         return events ? &(*events)[i] : nullptr;
       },
-      events != nullptr, injector ? &*injector : nullptr, {}, num_models);
+      events != nullptr, injector, {}, num_models);
   for (const DispatchBatch& b : plan) placer.feed(b);
   placer.finish_stream();
   if (batches) *batches = placer.batch_records();
@@ -1083,17 +1045,15 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
       throw std::invalid_argument("serve_stream: model '" + m.name +
                                   "' has a null ModelFn");
   // Tuned-parameter restamping is per-request work on the hot path;
-  // skip it entirely (keeping the legacy single-model path bit- and
-  // work-identical) unless some entry actually overrides the store.
+  // skip it entirely unless some entry actually overrides the store.
   bool per_model_tuned = false;
   for (const ModelEntry& m : models)
     if (!m.tuned.empty()) per_model_tuned = true;
   const int workers = std::max(config.workers, 1);
   // A non-empty fleet names the shards explicitly; otherwise the group
-  // is shard.devices homogeneous copies of the reference device.
-  const int devices = config.fleet.empty()
-                          ? std::max(config.shard.devices, 1)
-                          : static_cast<int>(config.fleet.size());
+  // is the one reference device.
+  const int devices =
+      config.fleet.empty() ? 1 : static_cast<int>(config.fleet.size());
   if (devices > kMaxModeledDevices)
     throw std::invalid_argument(
         "serve_stream: " + std::to_string(devices) +
@@ -1128,19 +1088,16 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   // is keyed on the configured snapshot alone (not on who owns the wall
   // cache): stats stay deterministic functions of the config + stream.
   if (cached && config.warm_snapshot) group.warm_start(config.warm_snapshot);
-  // A non-empty fault plan switches the placer into the fault-tolerant
-  // scheduler; fulfillment then runs through its on_final hook (under
-  // st.mu — feed/finish_stream are only ever called with it held),
-  // which may fire at deferred-finalization time or with a typed
+  // Fulfillment runs through the placer's on_final hook (under st.mu —
+  // feed/finish_stream are only ever called with it held), which fires
+  // at placement, at deferred-finalization time, or with a typed
   // failure.
-  const bool faulty = config.fault_plan && !config.fault_plan->faults.empty();
-  std::optional<FaultInjector> injector;
-  if (faulty)
-    injector.emplace(*config.fault_plan, config.fault_tolerance, devices);
+  FaultInjector injector = make_injector(
+      config.fault_plan.get(), &config.fault_tolerance, devices);
   StreamPlacer placer(group, routing, workers, config.batch_overhead_seconds,
                       SharedRequestAt{&st}, SharedEventsAt{&st, cached},
-                      cached, injector ? &*injector : nullptr,
-                      SharedOnFinal{&st}, static_cast<int>(models.size()));
+                      cached, injector, SharedOnFinal{&st},
+                      static_cast<int>(models.size()));
 
   // Batch membership only shapes the modeled schedule, so measurement
   // starts the moment a request is drained — no need to wait for its
@@ -1185,9 +1142,8 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
           // Per-request context restamp: every digest this request
           // resolves lives in its model's namespace, and the model's
           // tuned grouping parameters (when present) override the
-          // config-wide store. Entry namespace 0 (the legacy / model-0
-          // space) inherits the RunOptions namespace so single-model
-          // registries stay bit-identical to the ModelFn overload.
+          // config-wide store. Entry namespace 0 (model 0's space)
+          // inherits the RunOptions namespace.
           c.cache_namespace = entry.cache_namespace != 0
                                   ? entry.cache_namespace
                                   : run.cache_namespace;
@@ -1291,7 +1247,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
           // policies, from the drained tensor before any worker can
           // borrow it. Salted into the model's namespace so dedup can
           // never coalesce identical inputs across tenants (model 0's
-          // namespace is 0 — the digest is untouched on legacy paths).
+          // namespace is 0 — its digest is untouched).
           info.digest = salt_cache_key(
               input_content_digest(st.inputs.back().coords(),
                                    st.inputs.back().stride()),
@@ -1409,43 +1365,21 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   return report;
 }
 
-StreamReport serve_stream(const ModelFn& model, RequestQueue& queue,
-                          const ServerConfig& config,
-                          BatchingPolicy& batching, RoutingPolicy& routing,
-                          std::vector<ExecContext>* context_pool) {
-  if (!model) throw std::invalid_argument("serve_stream: null model");
-  // One default entry in namespace 0 with no overrides: the registry
-  // path degenerates to exactly the legacy behavior (pinned by test).
-  std::vector<ModelEntry> models(1);
-  models[0].name = "default";
-  models[0].fn = model;
-  return serve_stream(models, queue, config, batching, routing,
-                      context_pool);
-}
-
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
 
 Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   cfg_.workers = std::max(cfg_.workers, 1);
-  if (cfg_.shard.devices > kMaxModeledDevices)
+  // A directly-populated fleet (bypassing with_fleet) gets the same loud
+  // bound check.
+  if (cfg_.fleet.size() > static_cast<std::size_t>(kMaxModeledDevices))
     throw std::invalid_argument(
-        "Server: shard.devices = " + std::to_string(cfg_.shard.devices) +
-        " exceeds kMaxModeledDevices (" +
+        "Server: fleet of " + std::to_string(cfg_.fleet.size()) +
+        " devices exceeds kMaxModeledDevices (" +
         std::to_string(kMaxModeledDevices) + ")");
-  cfg_.shard.devices = std::max(cfg_.shard.devices, 1);
-  if (!cfg_.fleet.empty()) {
-    // A directly-populated fleet (bypassing with_fleet) gets the same
-    // loud bound check, and shard.devices is forced consistent so every
-    // observer of the config sees the fleet's true size.
-    if (cfg_.fleet.size() > static_cast<std::size_t>(kMaxModeledDevices))
-      throw std::invalid_argument(
-          "Server: fleet of " + std::to_string(cfg_.fleet.size()) +
-          " devices exceeds kMaxModeledDevices (" +
-          std::to_string(kMaxModeledDevices) + ")");
-    cfg_.shard.devices = static_cast<int>(cfg_.fleet.size());
-  }
+  const int devices =
+      cfg_.fleet.empty() ? 1 : static_cast<int>(cfg_.fleet.size());
   if (!std::isfinite(cfg_.batch_overhead_seconds) ||
       cfg_.batch_overhead_seconds < 0)
     throw std::invalid_argument(
@@ -1457,13 +1391,12 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   // tolerance knobs are validated even without a plan (a later
   // with_fault_plan on a copied config should not resurrect bad knobs).
   if (cfg_.fault_plan)
-    validate_fault_plan(*cfg_.fault_plan, cfg_.shard.devices);
+    validate_fault_plan(*cfg_.fault_plan, devices);
   validate_fault_tolerance(cfg_.fault_tolerance);
   // Model-registry validation: every entry callable, uniquely and
   // non-emptily named, with finite knobs. Cache namespaces are forced to
   // the registry index regardless of what the caller stamped — digest
-  // isolation is structural, and entry 0 keeps the legacy namespace so
-  // a one-entry registry is bit-identical to start(model).
+  // isolation is structural, and entry 0 keeps the unsalted namespace.
   for (std::size_t i = 0; i < cfg_.models.size(); ++i) {
     ModelEntry& m = cfg_.models[i];
     if (!m.fn)
@@ -1514,7 +1447,12 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
 
 Server::~Server() { stop(); }
 
-void Server::launch_locked(ModelFn legacy_model) {
+void Server::start() {
+  MutexLock lock(life_mu_);
+  if (cfg_.models.empty())
+    throw std::logic_error(
+        "Server::start(): no models registered (populate "
+        "ServerConfig::with_model)");
   if (running_)
     throw std::logic_error(
         "Server::start: a session is already running (drain() or stop() "
@@ -1525,8 +1463,6 @@ void Server::launch_locked(ModelFn legacy_model) {
   error_ = nullptr;
   std::shared_ptr<BatchingPolicy> batching = cfg_.batching;
   if (!batching) {
-    // An empty registry contributes an empty info vector, which keeps
-    // the policies on their (bit-identical) single-model code paths.
     if (cfg_.dedup_batching)
       batching = std::make_shared<DedupBatchingPolicy>(
           cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
@@ -1535,45 +1471,21 @@ void Server::launch_locked(ModelFn legacy_model) {
           cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
   }
   std::shared_ptr<RoutingPolicy> routing = cfg_.routing;
-  if (!routing) routing = make_routing_policy(cfg_.shard.route);
+  if (!routing) routing = make_routing_policy(RoutePolicy::kLeastLoaded);
   running_ = true;
   // The serving thread gets the queue pointer by value: it must not
   // read the guarded queue_ member (it never takes life_mu_ — drain()
   // holds that lock across the join). The session owns *q until the
   // join in drain()/stop(), so the pointer outlives the thread.
   RequestQueue* q = queue_.get();
-  loop_ = std::thread([this, q, model = std::move(legacy_model), batching,
-                       routing] {
+  loop_ = std::thread([this, q, batching, routing] {
     try {
-      report_ = model ? serve_stream(model, *q, cfg_, *batching, *routing,
-                                     &spare_contexts_)
-                      : serve_stream(cfg_.models, *q, cfg_, *batching,
-                                     *routing, &spare_contexts_);
+      report_ = serve_stream(cfg_.models, *q, cfg_, *batching, *routing,
+                             &spare_contexts_);
     } catch (...) {
       error_ = std::current_exception();
     }
   });
-}
-
-void Server::start(ModelFn model) {
-  MutexLock lock(life_mu_);
-  if (!model) throw std::invalid_argument("Server::start: null model");
-  if (!cfg_.models.empty())
-    throw std::invalid_argument(
-        "Server::start(model): this server hosts a model registry "
-        "(ServerConfig::with_model); open sessions with start() and "
-        "submit with submit_to()");
-  launch_locked(std::move(model));
-}
-
-void Server::start() {
-  MutexLock lock(life_mu_);
-  if (cfg_.models.empty())
-    throw std::logic_error(
-        "Server::start(): no models registered (populate "
-        "ServerConfig::with_model, or serve a single ModelFn through "
-        "start(model))");
-  launch_locked(nullptr);
 }
 
 StreamHandle Server::submit(SparseTensor input, double arrival_seconds,
@@ -1604,10 +1516,6 @@ std::optional<StreamHandle> Server::try_submit(SparseTensor input,
 
 Priority Server::resolve_submission(
     int model, const std::optional<Priority>& priority) const {
-  if (cfg_.models.empty())
-    throw std::logic_error(
-        "Server::submit_to: this server has no model registry "
-        "(single-model deployments submit with submit())");
   if (model < 0 || static_cast<std::size_t>(model) >= cfg_.models.size())
     throw std::invalid_argument(
         "Server::submit_to: model " + std::to_string(model) +
@@ -1678,15 +1586,6 @@ void Server::stop() {
   // A failed session already delivered its error through the handles;
   // stop() discards the report either way.
   error_ = nullptr;
-}
-
-BatchReport Server::run_batch(const ModelFn& model,
-                              const std::vector<SparseTensor>& inputs) const {
-  BatchOptions opt;
-  opt.workers = cfg_.workers;
-  opt.run = cfg_.run;  // map_cache already resolved in the constructor
-  const BatchRunner runner(cfg_.device, cfg_.engine, opt);
-  return runner.run(model, inputs);
 }
 
 std::size_t Server::depth() const {

@@ -1,28 +1,26 @@
-// serve::Server — the unified, long-lived serving session API.
+// serve::Server — the serving entry point: one long-lived deployment
+// object that owns admission, batching, routing, measurement, and the
+// modeled schedule.
 //
-// PR 1-4 accreted four overlapping option structs (BatchOptions,
-// StreamOptions, QueueOptions, ShardOptions) around a one-shot
-// BatchRunner::serve entry point. This header replaces that surface
-// with one composable deployment object:
-//
-//   ServerConfig cfg;                      // builder: unify every knob
-//   cfg.with_device(rtx2080ti())
+//   ServerConfig cfg;
+//   cfg.with_model("seg", model)                       // model registry
+//      .with_fleet({{rtx2080ti(), 2}})                 // or with_device
+//      .with_routing_policy(
+//          make_routing_policy(RoutePolicy::kCacheAffinity))
 //      .with_engine(torchsparse_config())
 //      .with_workers(4)
-//      .with_devices(2)
-//      .with_route(RoutePolicy::kCacheAffinity)
 //      .with_map_cache_bytes(256u << 20);
 //   Server server(cfg);
-//   server.start(model);                   // spawn the serving session
-//   auto h = server.submit(scan, t, Priority::kHigh);
+//   server.start();                        // open a serving session
+//   auto h = server.submit(scan, t, Priority::kHigh);  // model 0
 //   ... h.get() the moment its batch is placed (incremental) ...
 //   StreamReport report = server.drain();  // close, join, full stats
 //
-// What the lifecycle buys over one-shot serve():
+// What a session provides:
 //  * Pluggable policies — batch formation (BatchingPolicy) and device
-//    routing (RoutingPolicy) are interfaces (serve_policies.hpp), not
-//    enum switches; heterogeneous device groups plug in through the
-//    routing policy's per-device service-estimate hook.
+//    routing (RoutingPolicy) are interfaces (serve_policies.hpp);
+//    heterogeneous fleets plug in through the routing policy's
+//    per-device service-estimate hook.
 //  * Priority classes — every submission carries a Priority; the
 //    default batching policy implements strict-priority-plus-aging and
 //    StreamStats reports per-class latency percentiles.
@@ -31,12 +29,13 @@
 //    measured, so a StreamHandle resolves when its own batch completes
 //    in modeled submission order, not at stream end.
 //
-// The modeled-determinism contract is unchanged: every result is
-// bit-identical to a serial run_model, and every modeled statistic
-// depends only on the submitted (input, arrival, priority) stream and
-// the configuration — never on thread timing, worker count, or when a
-// handle was observed. The legacy BatchRunner::serve remains as a thin
-// wrapper over serve_stream below and is pinned bit-identical by test.
+// Modeled determinism: every result is bit-identical to a serial
+// run_model, and every modeled statistic depends only on the submitted
+// (input, arrival, priority, model) stream and the configuration —
+// never on thread timing, worker count, or when a handle was observed.
+// schedule_stream_dispatch below is the same scheduler as a one-shot
+// pass over an explicit plan, for sweeps that reuse one set of
+// measurements across many schedule configurations.
 #pragma once
 
 #include <atomic>
@@ -78,10 +77,9 @@ struct ModelEntry {
   double weight = 1.0;
   /// Kernel-map digest namespace (salt_cache_key): with_model stamps
   /// this to the registry index — and Server's constructor re-stamps it
-  /// — so model 0 keeps the legacy digest space (warm snapshots stay
-  /// valid, single-model registries are digest-identical to the
-  /// model-less path) while every later model gets an independent
-  /// remap, making cross-model cache collisions impossible by
+  /// — so model 0 keeps the unsalted digest space (warm snapshots stay
+  /// valid, and a one-model registry is digest-identical to a plain
+  /// run_model) while every later model gets an independent remap, making cross-model cache collisions impossible by
   /// construction rather than by configuration discipline.
   uint64_t cache_namespace = 0;
   /// Per-model tuned grouping parameters (Alg. 5 output, typically from
@@ -90,22 +88,21 @@ struct ModelEntry {
   std::unordered_map<int, GroupParams> tuned;
 };
 
-/// One unified deployment description: device/engine, worker pool,
-/// per-request run options, admission, batching, sharding, and the
+/// One deployment description: model registry, devices, engine, worker
+/// pool, per-request run options, admission, batching, and the
 /// pluggable policies. Plain struct with chainable with_* setters —
 /// set fields directly or build fluently, both are fine.
 struct ServerConfig {
-  /// Deprecated single-spec delegate (still honored): the modeled device
-  /// spec of every shard when `fleet` is empty. With a fleet configured
-  /// this is the *reference* device — the spec every request is measured
-  /// on (with_fleet keeps it equal to fleet.front()); heterogeneous
-  /// tiers enter the schedule through the routing policy's
-  /// device_service_estimate scaling, never through measurement.
+  /// The measurement reference device: every request is measured on
+  /// this spec. With an empty `fleet` it is also the one device the
+  /// session serves on; with a fleet, with_fleet keeps it equal to
+  /// fleet.front(), and the other tiers enter the schedule through the
+  /// routing policy's device_service_estimate scaling, never through
+  /// measurement.
   DeviceSpec device;
-  /// Per-shard device specs of a heterogeneous fleet, in shard order;
-  /// empty (the default) means shard.devices homogeneous copies of
-  /// `device`. Populate through with_fleet — it validates the tier list
-  /// and keeps `device` and shard.devices consistent.
+  /// Per-shard device specs, in shard order; empty (the default) means
+  /// one shard of `device`. Populate through with_fleet — it validates
+  /// the tier list and keeps `device` consistent.
   std::vector<DeviceSpec> fleet;
   EngineConfig engine;
   int workers = 1;                 // worker threads and lanes per device
@@ -123,14 +120,13 @@ struct ServerConfig {
   /// Reuse one ExecContext per worker across requests (bit-identical
   /// either way; reuse skips repeated cost-model construction).
   bool reuse_context = true;
-  ShardOptions shard;              // device count + built-in route policy
   /// Custom batch formation; when null the server builds a
   /// SloBatchingPolicy(batcher, priority) per session. Stateful and
   /// driven single-threaded — do not share one instance between
   /// concurrently running servers.
   std::shared_ptr<BatchingPolicy> batching;
-  /// Custom routing (e.g. heterogeneous service estimates); when null
-  /// the server uses make_routing_policy(shard.route).
+  /// Device routing (make_routing_policy for the built-in rules, or a
+  /// custom policy); when null the server routes least_loaded.
   std::shared_ptr<RoutingPolicy> routing;
   /// Warm-start manifest (null = cold starts, the default): a kernel-map
   /// cache snapshot — typically a previous deployment's
@@ -162,13 +158,9 @@ struct ServerConfig {
   /// when `fault_plan` is active (validated at Server construction
   /// either way).
   FaultToleranceOptions fault_tolerance;
-  /// Multi-model registry (empty = the legacy single-model deployment:
-  /// start(model) supplies the one ModelFn and every submission is
-  /// model 0). With entries, sessions open with start() — no argument —
-  /// and submissions target entries by index (submit_to) or name
-  /// (model_id). A one-entry registry is bit-identical to the same
-  /// deployment through start(model): namespace 0, inherited SLO, no
-  /// contending model, pinned by test. Populate through with_model.
+  /// The hosted models (at least one before start()). Submissions
+  /// target entries by index (submit_to) or name (model_id); submit()
+  /// is the model-0 shorthand. Populate through with_model.
   std::vector<ModelEntry> models;
 
   ServerConfig& with_device(DeviceSpec d);
@@ -182,19 +174,15 @@ struct ServerConfig {
   ServerConfig& with_priority(PriorityOptions p);
   ServerConfig& with_batch_overhead(double seconds);
   ServerConfig& with_reuse_context(bool on);
-  ServerConfig& with_devices(int n);
   /// Describes a heterogeneous fleet as {spec, count} tiers, e.g.
   ///   cfg.with_fleet({{device_spec_by_name("1080ti"), 2},
   ///                   {device_spec_by_name("3090"), 2}});
   /// Expands the tiers into `fleet` (expand_fleet validation:
   /// std::invalid_argument on an empty list, a non-positive count, or a
-  /// total past kMaxModeledDevices), points the deprecated `device`
-  /// delegate at the first tier's spec (the measurement reference), and
-  /// sets shard.devices to the fleet size. A single-tier call is the
-  /// homogeneous configuration with_device + with_devices builds —
-  /// bit-identical schedules, pinned by test.
+  /// total past kMaxModeledDevices) and points `device` at the first
+  /// tier's spec (the measurement reference). A single tier is a
+  /// homogeneous group.
   ServerConfig& with_fleet(const std::vector<FleetTier>& tiers);
-  ServerConfig& with_route(RoutePolicy r);
   ServerConfig& with_batching_policy(std::shared_ptr<BatchingPolicy> p);
   ServerConfig& with_routing_policy(std::shared_ptr<RoutingPolicy> p);
   /// Loads a .tsmc snapshot file (io::load_map_cache_file — throws
@@ -240,13 +228,15 @@ struct ServerConfig {
 std::vector<ModelBatchingInfo> model_batching_infos(
     const std::vector<ModelEntry>& models);
 
-/// Generalized one-shot modeled scheduler: places `plan` (explicit,
-/// possibly non-contiguous member lists, in dispatch order) over the
-/// device group under `routing`, replaying per-member cache events
-/// through each batch's routed device and filling every request's
-/// schedule fields. The generalization of schedule_stream_sharded that
-/// priority batching and custom routing need; the legacy contiguous
-/// entry points delegate here (bit-identical, pinned by test).
+/// One-shot modeled scheduler: places `plan` (explicit, possibly
+/// non-contiguous member lists, in dispatch order) over the device
+/// group under `routing`, replaying per-member cache events through
+/// each batch's routed device and filling every request's schedule
+/// fields. The same scheduler body a Server session runs
+/// incrementally; sweeps use it to reuse one set of measured service
+/// times across many batching and routing configurations. `group` is
+/// reset via begin_schedule, so every call accounts from a cold
+/// modeled state (warm-seeded when the group carries a snapshot).
 /// Preconditions (std::invalid_argument): plan members partition
 /// [0, requests.size()), every member arrived by its batch's dispatch
 /// stamp, overhead finite >= 0, `events` (when non-null) parallel to
@@ -265,39 +255,27 @@ StreamStats schedule_stream_dispatch(
     const FaultToleranceOptions* fault_tolerance = nullptr);
 
 /// One serving session over an externally owned queue with explicit
-/// policies — the engine room shared by Server (which runs it on a
-/// background thread) and the legacy BatchRunner::serve wrapper (which
-/// runs it on the caller's thread). Drains `queue` until closed and
-/// empty, measures every request on the worker pool, forms batches with
-/// `batching`, and places them incrementally: each batch is routed,
-/// cache-accounted, and laned as soon as all earlier batches are placed
-/// and its members measured, fulfilling the members' StreamHandles at
-/// that moment. `context_pool`, when non-null, supplies reusable
-/// ExecContexts handed back on return (Server keeps warm contexts
-/// across sessions this way).
+/// policies — the engine room a Server runs on its background thread,
+/// exposed for callers that need to pre-fill the queue (deterministic
+/// admission scenarios). Drains `queue` until closed and empty,
+/// measures every request on the worker pool — restamping each worker
+/// context per request with the target entry's ModelFn, tuned
+/// parameters, and cache namespace, so two models never alias each
+/// other's kernel-map entries — forms batches with `batching`, and
+/// places them incrementally: each batch is routed, cache-accounted,
+/// and laned as soon as all earlier batches are placed and its members
+/// measured, fulfilling the members' StreamHandles at that moment.
+/// `context_pool`, when non-null, supplies reusable ExecContexts handed
+/// back on return.
 ///
 /// Determinism: the report depends only on the drained (input, arrival,
-/// priority) stream, the config, and the policies. Exception guarantee:
-/// on a request failure (or a policy contract violation) the queue is
-/// closed, every unfulfilled handle receives the error, and the error
-/// is rethrown.
-StreamReport serve_stream(const ModelFn& model, RequestQueue& queue,
-                          const ServerConfig& config,
-                          BatchingPolicy& batching, RoutingPolicy& routing,
-                          std::vector<ExecContext>* context_pool = nullptr);
-
-/// Multi-model serving session: like serve_stream above, but requests
-/// resolve against `models` (by PendingRequest::model). Workers restamp
-/// their context per request — the entry's ModelFn, tuned parameters,
-/// and cache namespace — so every digest a request resolves lives in
-/// its model's namespace and two models can never alias each other's
-/// kernel-map entries. Dedup digests are salted the same way, keeping
-/// duplicate grouping within a model. The single-model overload above
-/// delegates here with one default entry (namespace 0, inherited
-/// everything) and is bit-identical by construction. Preconditions
-/// (std::invalid_argument): `models` non-empty with non-null fns; a
-/// drained request targeting an index outside the registry fails the
-/// stream (every unfulfilled handle receives the error).
+/// priority, model) stream, the config, and the policies.
+/// Preconditions (std::invalid_argument): `models` non-empty with
+/// non-null fns, a fleet within kMaxModeledDevices. Exception
+/// guarantee: on a request failure (or a policy contract violation, or
+/// a request naming a model outside the registry) the queue is closed,
+/// every unfulfilled handle receives the error, and the error is
+/// rethrown.
 StreamReport serve_stream(const std::vector<ModelEntry>& models,
                           RequestQueue& queue, const ServerConfig& config,
                           BatchingPolicy& batching, RoutingPolicy& routing,
@@ -306,11 +284,10 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 /// Long-lived serving session host: owns the admission queue, the
 /// serving thread, and warm per-worker contexts kept across sessions.
 ///
-/// Lifecycle: construct → start(model) → submit(...)* → drain() →
-/// (start again with the same or another model) → ... → stop().
-/// start/drain pairs are serving *sessions*; modeled statistics are
-/// per session (cold modeled caches each time, like the legacy path),
-/// while the wall-clock KernelMapCache and the worker contexts stay
+/// Lifecycle: construct → start() → submit(...)* → drain() → (start
+/// again) → ... → stop(). start/drain pairs are serving *sessions*;
+/// modeled statistics are per session (cold modeled caches each time,
+/// or warm-seeded from warm_snapshot), while the wall-clock KernelMapCache and the worker contexts stay
 /// warm across sessions.
 ///
 /// Thread-safety: submit/try_submit are safe from any number of
@@ -325,10 +302,8 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 class Server {
  public:
   /// Validates the configuration (std::invalid_argument): workers
-  /// clamped to >= 1, shard.devices clamped to >= 1 and bounded by
-  /// kMaxModeledDevices, a non-empty fleet bounded by kMaxModeledDevices
-  /// (shard.devices is then forced to the fleet size), overhead finite
-  /// >= 0; builds the shared kernel-map cache from map_cache_bytes when
+  /// clamped to >= 1, a non-empty fleet bounded by kMaxModeledDevices,
+  /// overhead finite >= 0, a well-formed model registry; builds the shared kernel-map cache from map_cache_bytes when
   /// run.map_cache is null.
   explicit Server(ServerConfig config);
 
@@ -336,13 +311,6 @@ class Server {
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
-
-  /// Opens a serving session over the single supplied model — the
-  /// legacy entry point, for deployments with no registry.
-  /// Preconditions: no session is running (std::logic_error); the
-  /// config has no registered models (std::invalid_argument — a
-  /// registry deployment opens sessions with the no-argument start()).
-  void start(ModelFn model);
 
   /// Opens a serving session over the configured model registry
   /// (ServerConfig::with_model). Preconditions: no session is running
@@ -353,8 +321,8 @@ class Server {
   /// True between start() and drain()/stop().
   bool running() const { return running_; }
 
-  /// Submits one request to the running session (std::logic_error when
-  /// no session is running). Same admission semantics as
+  /// Submits one request for model 0 at `priority` to the running
+  /// session (std::logic_error when no session is running). Same admission semantics as
   /// RequestQueue::submit; the handle resolves incrementally, the
   /// moment the request's batch is placed on the modeled schedule.
   /// Mind the StreamHandle deadlock caveat: a request the batching
@@ -370,8 +338,7 @@ class Server {
       Priority priority = Priority::kNormal);
 
   /// Submits one request to a specific registry model. `model` must
-  /// index the registry (std::invalid_argument otherwise; 0 is also
-  /// valid on a registry-less deployment, where it means "the" model).
+  /// index the registry (std::invalid_argument otherwise).
   /// When `priority` is nullopt the entry's default_priority applies —
   /// the per-model class default. Same admission and incremental-
   /// fulfillment semantics as submit().
@@ -401,13 +368,6 @@ class Server {
   /// called by the destructor.
   void stop();
 
-  /// Convenience for the offline fixed-batch path under the same
-  /// deployment (BatchRunner::run semantics): shards `inputs` across
-  /// the worker pool and returns the deterministic batch report. Does
-  /// not interact with the streaming session.
-  BatchReport run_batch(const ModelFn& model,
-                        const std::vector<SparseTensor>& inputs) const;
-
   /// Admission-side observers of the running session (0 when idle).
   std::size_t depth() const;
   std::size_t rejected() const;
@@ -421,10 +381,6 @@ class Server {
   }
 
  private:
-  /// Shared session launcher behind start()/start(model): replaces the
-  /// queue, builds the session policies, and spawns the serving thread.
-  /// A null `legacy_model` serves the configured registry.
-  void launch_locked(ModelFn legacy_model) TS_REQUIRES(life_mu_);
   /// Validates a submission's model index against the registry and
   /// resolves its effective priority (explicit, or the entry default).
   Priority resolve_submission(int model,

@@ -1,7 +1,7 @@
 // Multi-device sharded serving: DeviceGroup state, record-mode cache
 // parity with MapCacheReplay, routing policies, single-device
-// bit-equivalence with the pre-sharding serve path, and the
-// determinism stress matrix (devices x workers).
+// bit-equivalence of per-device cache accounting with MapCacheReplay,
+// and the determinism stress matrix (devices x workers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,7 @@
 #include "nn/layers.hpp"
 #include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 
 namespace ts {
@@ -358,15 +358,28 @@ TEST(DeviceGroup, RecordLookupMatchesMapCacheReplayDecisions) {
   EXPECT_EQ(recorded.stats().oversized, 1u);
 }
 
-// --- Sharded scheduler: single-device bit-equivalence -----------------
+// --- One-shot scheduler: single-device bit-equivalence ----------------
 
 /// Synthetic stream: 6 requests, batches of 2, per-request events with a
 /// shared digest so the cache replay actually changes timelines.
 struct SyntheticStream {
   std::vector<serve::StreamResult> requests;
-  std::vector<serve::PlannedBatch> plan;
+  std::vector<serve::DispatchBatch> plan;
   std::vector<std::vector<MapCacheEvent>> events;
 };
+
+/// One schedule_stream_dispatch pass over `s` under a built-in routing
+/// rule; `cached` replays the per-request cache events.
+serve::StreamStats schedule(
+    SyntheticStream& s, serve::DeviceGroup& group, serve::RoutePolicy policy,
+    int workers, double overhead, bool cached,
+    std::vector<serve::StreamBatchRecord>* batches = nullptr) {
+  const auto routing = serve::make_routing_policy(policy);
+  return serve::schedule_stream_dispatch(s.requests, s.plan, group,
+                                         *routing, workers, overhead,
+                                         cached ? &s.events : nullptr,
+                                         batches);
+}
 
 SyntheticStream make_synthetic() {
   SyntheticStream s;
@@ -383,19 +396,19 @@ SyntheticStream make_synthetic() {
     // {0,2,4} use key 7, {1,3,5} use key 9.
     s.events.push_back({event_of(7 + 2 * (i % 2), 200, 0.003, 0.0004)});
   }
-  s.plan = {{0, 2, 0.01}, {2, 2, 0.03}, {4, 2, 0.05}};
+  s.plan = {{{0, 1}, 0.01}, {{2, 3}, 0.03}, {{4, 5}, 0.05}};
   return s;
 }
 
-TEST(ScheduleStreamSharded, OneDeviceBitEqualsReplayPlusScheduleStream) {
+TEST(ScheduleStreamDispatch, OneDeviceCacheAccountingBitEqualsMapCacheReplay) {
   for (const serve::RoutePolicy policy :
        {serve::RoutePolicy::kRoundRobin, serve::RoutePolicy::kLeastLoaded,
         serve::RoutePolicy::kCacheAffinity}) {
-    SyntheticStream pre = make_synthetic();   // pre-PR pipeline
-    SyntheticStream post = make_synthetic();  // sharded pipeline
+    SyntheticStream pre = make_synthetic();   // reference pipeline
+    SyntheticStream post = make_synthetic();  // per-device accounting
 
-    // Pre-sharding accounting: MapCacheReplay in submission order, then
-    // schedule_stream.
+    // Reference accounting: MapCacheReplay in submission order, then a
+    // cache-less placement pass.
     const std::size_t budget = 1 << 16;
     MapCacheReplay replay(budget);
     for (std::size_t i = 0; i < pre.requests.size(); ++i) {
@@ -404,15 +417,16 @@ TEST(ScheduleStreamSharded, OneDeviceBitEqualsReplayPlusScheduleStream) {
           pre.requests[i].timeline.total_seconds();
     }
     std::vector<serve::StreamBatchRecord> pre_batches;
-    const serve::StreamStats ref = serve::schedule_stream(
-        pre.requests, pre.plan, /*workers=*/2,
-        /*batch_overhead_seconds=*/0.002, &pre_batches);
+    serve::DeviceGroup plain(rtx2080ti(), 1, 0);
+    const serve::StreamStats ref =
+        schedule(pre, plain, serve::RoutePolicy::kRoundRobin, /*workers=*/2,
+                 /*overhead=*/0.002, /*cached=*/false, &pre_batches);
 
     serve::DeviceGroup group(rtx2080ti(), 1, budget);
     std::vector<serve::StreamBatchRecord> post_batches;
-    const serve::StreamStats got = serve::schedule_stream_sharded(
-        post.requests, post.plan, group, policy, /*workers_per_device=*/2,
-        /*batch_overhead_seconds=*/0.002, &post.events, &post_batches);
+    const serve::StreamStats got =
+        schedule(post, group, policy, /*workers=*/2, /*overhead=*/0.002,
+                 /*cached=*/true, &post_batches);
 
     EXPECT_EQ(got.devices, 1);
     ASSERT_EQ(got.per_device.size(), 1u);
@@ -468,31 +482,27 @@ SyntheticStream singleton_batches(const std::vector<double>& services,
     r.arrival_seconds = 0.0;
     r.timeline.add(Stage::kMatMul, services[i]);
     r.service_seconds = services[i];
-    s.plan.push_back({i, 1, 0.0});
+    s.plan.push_back({{i}, 0.0});
     s.events.push_back({event_of(tags[i], 100, 0.0, 0.0)});
   }
   return s;
 }
 
-TEST(ScheduleStreamSharded, RoundRobinCyclesDevices) {
+TEST(ScheduleStreamDispatch, RoundRobinCyclesDevices) {
   SyntheticStream s = singleton_batches({1, 1, 1, 1, 1}, {1, 2, 3, 4, 5});
   serve::DeviceGroup group(rtx2080ti(), 3, 1 << 16);
-  serve::schedule_stream_sharded(s.requests, s.plan, group,
-                                 serve::RoutePolicy::kRoundRobin, 1, 0.0,
-                                 &s.events);
+  schedule(s, group, serve::RoutePolicy::kRoundRobin, 1, 0.0, true);
   const int want[] = {0, 1, 2, 0, 1};
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(s.requests[i].device, want[i]) << "request " << i;
 }
 
-TEST(ScheduleStreamSharded, LeastLoadedBalancesAccumulatedWork) {
+TEST(ScheduleStreamDispatch, LeastLoadedBalancesAccumulatedWork) {
   // Batch 0 is heavy: everything after it should drain to device 1
   // until its accumulated work catches up.
   SyntheticStream s = singleton_batches({10, 1, 1, 1}, {1, 2, 3, 4});
   serve::DeviceGroup group(rtx2080ti(), 2, 0);
-  serve::schedule_stream_sharded(s.requests, s.plan, group,
-                                 serve::RoutePolicy::kLeastLoaded, 1, 0.0,
-                                 nullptr);
+  schedule(s, group, serve::RoutePolicy::kLeastLoaded, 1, 0.0, false);
   const int want[] = {0, 1, 1, 1};
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_EQ(s.requests[i].device, want[i]) << "request " << i;
@@ -500,14 +510,13 @@ TEST(ScheduleStreamSharded, LeastLoadedBalancesAccumulatedWork) {
   EXPECT_DOUBLE_EQ(group.stats(1).busy_seconds, 3.0);
 }
 
-TEST(ScheduleStreamSharded, CacheAffinityRoutesToDigestOwner) {
+TEST(ScheduleStreamDispatch, CacheAffinityRoutesToDigestOwner) {
   // Digests AABB: affinity must co-locate the duplicates; round-robin
   // must split them (and therefore never hit).
   SyntheticStream aff = singleton_batches({1, 1, 1, 1}, {7, 7, 9, 9});
   serve::DeviceGroup g_aff(rtx2080ti(), 2, 1 << 16);
-  const serve::StreamStats s_aff = serve::schedule_stream_sharded(
-      aff.requests, aff.plan, g_aff, serve::RoutePolicy::kCacheAffinity, 1,
-      0.0, &aff.events);
+  const serve::StreamStats s_aff =
+      schedule(aff, g_aff, serve::RoutePolicy::kCacheAffinity, 1, 0.0, true);
   // Request 0: no owner -> least-loaded -> device 0. Request 1: owner of
   // digest 7 is device 0 -> hit there. Request 2: digest 9 cold ->
   // least-loaded -> device 1 (device 0 has 2 batches of work). Request
@@ -521,9 +530,8 @@ TEST(ScheduleStreamSharded, CacheAffinityRoutesToDigestOwner) {
 
   SyntheticStream rr = singleton_batches({1, 1, 1, 1}, {7, 7, 9, 9});
   serve::DeviceGroup g_rr(rtx2080ti(), 2, 1 << 16);
-  const serve::StreamStats s_rr = serve::schedule_stream_sharded(
-      rr.requests, rr.plan, g_rr, serve::RoutePolicy::kRoundRobin, 1, 0.0,
-      &rr.events);
+  const serve::StreamStats s_rr =
+      schedule(rr, g_rr, serve::RoutePolicy::kRoundRobin, 1, 0.0, true);
   EXPECT_EQ(s_rr.map_cache.hits, 0u);
   EXPECT_GT(s_aff.map_cache.hit_rate(), s_rr.map_cache.hit_rate());
 }
@@ -541,12 +549,12 @@ SyntheticStream stage_stream(
     r.arrival_seconds = 0.0;
     r.timeline.add(reqs[i].first, reqs[i].second);
     r.service_seconds = r.timeline.total_seconds();
-    s.plan.push_back({i, 1, 0.0});
+    s.plan.push_back({{i}, 0.0});
   }
   return s;
 }
 
-TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
+TEST(ScheduleStreamDispatch, EstimateAwareSplitsBatchesByStageMix) {
   // Mixed 1080Ti+3090 fleet, 1080Ti first (the measurement reference).
   // Relative factors: MatMul scales with peak GEMM (11.3/35.6 ~ 0.317 on
   // the 3090), everything else with DRAM bandwidth (484/936 ~ 0.517).
@@ -561,9 +569,7 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
                                             {Stage::kMatMul, 1.0},
                                             {Stage::kMatMul, 1.0}});
   serve::DeviceGroup g1(fleet, 0);
-  serve::schedule_stream_sharded(gemm_tail.requests, gemm_tail.plan, g1,
-                                 serve::RoutePolicy::kEstimateAware, 1, 0.0,
-                                 nullptr);
+  schedule(gemm_tail, g1, serve::RoutePolicy::kEstimateAware, 1, 0.0, false);
   const int want_gemm[] = {1, 1, 1};
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_EQ(gemm_tail.requests[i].device, want_gemm[i]) << "request " << i;
@@ -572,9 +578,7 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
                                            {Stage::kMatMul, 1.0},
                                            {Stage::kMapping, 1.0}});
   serve::DeviceGroup g2(fleet, 0);
-  serve::schedule_stream_sharded(map_tail.requests, map_tail.plan, g2,
-                                 serve::RoutePolicy::kEstimateAware, 1, 0.0,
-                                 nullptr);
+  schedule(map_tail, g2, serve::RoutePolicy::kEstimateAware, 1, 0.0, false);
   const int want_map[] = {1, 1, 0};
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_EQ(map_tail.requests[i].device, want_map[i]) << "request " << i;
@@ -587,7 +591,8 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
   EXPECT_DOUBLE_EQ(g2.stats(0).busy_seconds, 1.0);
 }
 
-TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
+TEST(ScheduleStreamDispatch,
+     EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
   // On a homogeneous group every estimate factor is exactly 1.0, so
   // estimate_aware must reproduce least_loaded bit-for-bit — routing
   // decisions, schedules, and stats.
@@ -596,12 +601,10 @@ TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
     SyntheticStream ea = make_synthetic();
     serve::DeviceGroup g_ll(rtx2080ti(), devices, 1 << 16);
     serve::DeviceGroup g_ea(rtx2080ti(), devices, 1 << 16);
-    const serve::StreamStats s_ll = serve::schedule_stream_sharded(
-        ll.requests, ll.plan, g_ll, serve::RoutePolicy::kLeastLoaded, 2,
-        0.002, &ll.events);
-    const serve::StreamStats s_ea = serve::schedule_stream_sharded(
-        ea.requests, ea.plan, g_ea, serve::RoutePolicy::kEstimateAware, 2,
-        0.002, &ea.events);
+    const serve::StreamStats s_ll =
+        schedule(ll, g_ll, serve::RoutePolicy::kLeastLoaded, 2, 0.002, true);
+    const serve::StreamStats s_ea = schedule(
+        ea, g_ea, serve::RoutePolicy::kEstimateAware, 2, 0.002, true);
     for (std::size_t i = 0; i < ll.requests.size(); ++i) {
       EXPECT_EQ(ea.requests[i].device, ll.requests[i].device);
       EXPECT_DOUBLE_EQ(ea.requests[i].start_seconds,
@@ -617,27 +620,28 @@ TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
 
 // --- End-to-end determinism stress matrix ------------------------------
 
-serve::StreamReport serve_stream(const ModelFn& model,
-                                 const std::vector<SparseTensor>& stream,
-                                 int devices, int workers,
-                                 serve::RoutePolicy policy,
-                                 std::size_t cache_bytes) {
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  std::vector<serve::StreamHandle> handles;
+/// Serves `stream` (dispatch-on-arrival) on `devices` 2080Ti shards
+/// under a built-in routing rule.
+serve::StreamReport sharded_serve(const ModelFn& model,
+                                  const std::vector<SparseTensor>& stream,
+                                  int devices, int workers,
+                                  serve::RoutePolicy policy,
+                                  std::size_t cache_bytes) {
+  serve::ServerConfig cfg;
+  cfg.with_model("net", model)
+      .with_fleet({{rtx2080ti(), devices}})
+      .with_routing_policy(serve::make_routing_policy(policy))
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_batch_overhead(0.0005)
+      .with_map_cache_bytes(cache_bytes)
+      .with_queue_depth(stream.size() + 1);
+  cfg.batcher.policy = serve::BatchPolicy::kImmediate;
+  serve::Server server(cfg);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
-    handles.push_back(
-        queue.submit(stream[i], 0.002 * static_cast<double>(i)));
-  queue.close();
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = cache_bytes;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = devices;
-  sopt.shard.route = policy;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  return runner.serve(model, queue, sopt);
+    server.submit(stream[i], 0.002 * static_cast<double>(i));
+  return server.drain();
 }
 
 void expect_same_report(const serve::StreamReport& a,
@@ -690,7 +694,7 @@ TEST(ShardedServe, ModeledStatsIndependentOfWorkerCountPerDeviceCount) {
 
   for (const int devices : {1, 2, 4}) {
     const serve::StreamReport base =
-        serve_stream(model, stream, devices, /*workers=*/1,
+        sharded_serve(model, stream, devices, /*workers=*/1,
                      serve::RoutePolicy::kCacheAffinity, std::size_t(64)
                                                              << 20);
     EXPECT_EQ(base.stats.devices, devices);
@@ -698,7 +702,7 @@ TEST(ShardedServe, ModeledStatsIndependentOfWorkerCountPerDeviceCount) {
               static_cast<std::size_t>(devices));
     for (const int workers : {2, 4}) {
       const serve::StreamReport got =
-          serve_stream(model, stream, devices, workers,
+          sharded_serve(model, stream, devices, workers,
                        serve::RoutePolicy::kCacheAffinity, std::size_t(64)
                                                                << 20);
       // Modeled serve stats and outputs are bit-identical for any
@@ -729,29 +733,29 @@ TEST(ShardedServe, ModeledStatsIndependentOfWorkerCountPerDeviceCount) {
     // Re-running the identical configuration reproduces the whole
     // report bit-for-bit.
     const serve::StreamReport again =
-        serve_stream(model, stream, devices, /*workers=*/1,
+        sharded_serve(model, stream, devices, /*workers=*/1,
                      serve::RoutePolicy::kCacheAffinity, std::size_t(64)
                                                              << 20);
     expect_same_report(base, again);
   }
 }
 
-TEST(ShardedServe, SingleDeviceMatchesUnshardedServeUnderEveryPolicy) {
+TEST(ShardedServe, SingleDeviceScheduleIdenticalUnderEveryPolicy) {
   const ModelFn model = small_unet(32);
   std::vector<SparseTensor> stream;
   for (int i = 0; i < 8; ++i)
     stream.push_back(random_tensor(130, 12, 4,
                                    3000 + static_cast<uint64_t>(i % 4)));
 
-  // Default options = pre-sharding single-device serve.
+  // least_loaded is the Server's default routing rule.
   const serve::StreamReport ref =
-      serve_stream(model, stream, 1, 2, serve::ShardOptions{}.route,
-                   std::size_t(64) << 20);
+      sharded_serve(model, stream, 1, 2, serve::RoutePolicy::kLeastLoaded,
+                    std::size_t(64) << 20);
   for (const serve::RoutePolicy policy :
        {serve::RoutePolicy::kRoundRobin, serve::RoutePolicy::kLeastLoaded,
         serve::RoutePolicy::kCacheAffinity}) {
     const serve::StreamReport got =
-        serve_stream(model, stream, 1, 2, policy, std::size_t(64) << 20);
+        sharded_serve(model, stream, 1, 2, policy, std::size_t(64) << 20);
     expect_same_report(ref, got);
   }
 }
@@ -762,10 +766,10 @@ TEST(ShardedServe, AggregateComputeInvariantToDeviceCountWithCacheOff) {
   for (int i = 0; i < 6; ++i)
     stream.push_back(random_tensor(120, 12, 4,
                                    4000 + static_cast<uint64_t>(i)));
-  const serve::StreamReport n1 = serve_stream(
+  const serve::StreamReport n1 = sharded_serve(
       model, stream, 1, 2, serve::RoutePolicy::kLeastLoaded, 0);
   for (const int devices : {2, 4}) {
-    const serve::StreamReport nd = serve_stream(
+    const serve::StreamReport nd = sharded_serve(
         model, stream, devices, 2, serve::RoutePolicy::kLeastLoaded, 0);
     // Sharding is a scheduling construct: per-request compute is
     // untouched, so the aggregate timeline is device-count invariant.
@@ -776,22 +780,28 @@ TEST(ShardedServe, AggregateComputeInvariantToDeviceCountWithCacheOff) {
 
 // --- Heterogeneous fleets, end to end ----------------------------------
 
+/// Serves `stream` on the fleet `tiers`; an empty tier list is the
+/// single-spec with_device(2080ti) deployment.
 serve::StreamReport fleet_serve(const ModelFn& model,
                                 const std::vector<SparseTensor>& stream,
                                 const std::vector<serve::FleetTier>& tiers,
                                 int workers, serve::RoutePolicy policy,
                                 std::size_t cache_bytes) {
   serve::ServerConfig cfg;
-  cfg.with_engine(torchsparse_config())
+  cfg.with_model("net", model)
+      .with_engine(torchsparse_config())
       .with_workers(workers)
-      .with_fleet(tiers)
-      .with_route(policy)
+      .with_routing_policy(serve::make_routing_policy(policy))
       .with_batch_overhead(0.0005)
       .with_map_cache_bytes(cache_bytes)
       .with_queue_depth(stream.size() + 1);
+  if (tiers.empty())
+    cfg.with_device(rtx2080ti());
+  else
+    cfg.with_fleet(tiers);
   cfg.batcher.policy = serve::BatchPolicy::kImmediate;
   serve::Server server(cfg);
-  server.start(model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit(stream[i], 0.002 * static_cast<double>(i));
   return server.drain();
@@ -803,46 +813,41 @@ TEST(FleetServe, WithFleetKeepsConfigConsistent) {
                   {device_spec_by_name("3090"), 2}});
   ASSERT_EQ(cfg.fleet.size(), 3u);
   EXPECT_EQ(cfg.device.name, gtx1080ti().name);  // measurement reference
-  EXPECT_EQ(cfg.shard.devices, 3);
   EXPECT_EQ(cfg.fleet[2].name, rtx3090().name);
   EXPECT_THROW(cfg.with_fleet({}), std::invalid_argument);
   EXPECT_THROW(cfg.with_fleet({{rtx3090(), 0}}), std::invalid_argument);
-  // A directly-populated fleet is bound-checked (and shard.devices
-  // reconciled) at Server construction.
+  // A directly-populated fleet is bound-checked at Server construction.
   serve::ServerConfig big;
   big.fleet.assign(static_cast<std::size_t>(serve::kMaxModeledDevices) + 1,
                    rtx3090());
   EXPECT_THROW(serve::Server{big}, std::invalid_argument);
-  serve::ServerConfig small;
-  small.fleet.assign(2, rtx3090());
-  small.shard.devices = 7;  // stale; the fleet wins
-  serve::Server server(std::move(small));
-  EXPECT_EQ(server.config().shard.devices, 2);
 }
 
-TEST(FleetServe, HomogeneousFleetBitEqualsDevicesConfig) {
-  // A single-tier with_fleet is the same deployment as with_device +
-  // with_devices — and the whole fleet path (fleet ctor, event heap,
-  // owner index) must reproduce the legacy serve bit-for-bit.
+TEST(FleetServe, HomogeneousFleetMatchesSingleSpecAndLeastLoaded) {
+  // A one-shard fleet is the same deployment as with_device alone — the
+  // fleet path (fleet ctor, event heap, owner index) must reproduce it
+  // bit-for-bit — and estimate_aware on a homogeneous fleet degenerates
+  // to least_loaded end to end.
   const ModelFn model = small_unet(41);
   std::vector<SparseTensor> stream;
   for (int i = 0; i < 8; ++i)
     stream.push_back(random_tensor(130, 12, 4,
                                    5000 + static_cast<uint64_t>(i % 4)));
-  const serve::StreamReport legacy =
-      serve_stream(model, stream, 2, 2, serve::RoutePolicy::kLeastLoaded,
-                   std::size_t(64) << 20);
-  const serve::StreamReport fleet =
+  const serve::StreamReport single =
+      fleet_serve(model, stream, {}, 2, serve::RoutePolicy::kLeastLoaded,
+                  std::size_t(64) << 20);
+  const serve::StreamReport fleet1 =
+      fleet_serve(model, stream, {{rtx2080ti(), 1}}, 2,
+                  serve::RoutePolicy::kLeastLoaded, std::size_t(64) << 20);
+  expect_same_report(single, fleet1);
+
+  const serve::StreamReport least =
       fleet_serve(model, stream, {{rtx2080ti(), 2}}, 2,
                   serve::RoutePolicy::kLeastLoaded, std::size_t(64) << 20);
-  expect_same_report(legacy, fleet);
-
-  // estimate_aware on the homogeneous fleet degenerates to least_loaded
-  // end to end.
   const serve::StreamReport estimate =
       fleet_serve(model, stream, {{rtx2080ti(), 2}}, 2,
                   serve::RoutePolicy::kEstimateAware, std::size_t(64) << 20);
-  expect_same_report(legacy, estimate);
+  expect_same_report(least, estimate);
 }
 
 TEST(FleetServe, ModeledStatsWorkerInvariantAcrossMixesAndPolicies) {

@@ -148,9 +148,10 @@ void expect_same_report(const serve::StreamReport& a,
   }
 }
 
-serve::ServerConfig base_cfg(std::size_t depth) {
+serve::ServerConfig base_cfg(const ModelFn& model, std::size_t depth) {
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti())
+  cfg.with_model("net", model)
+      .with_device(rtx2080ti())
       .with_engine(torchsparse_config())
       .with_workers(2)
       .with_queue_depth(depth);
@@ -160,6 +161,14 @@ serve::ServerConfig base_cfg(std::size_t depth) {
   return cfg;
 }
 
+/// base_cfg on two 2080Ti shards under a built-in routing rule.
+serve::ServerConfig pair_cfg(const ModelFn& model, std::size_t depth,
+                             serve::RoutePolicy route) {
+  return base_cfg(model, depth)
+      .with_fleet({{rtx2080ti(), 2}})
+      .with_routing_policy(serve::make_routing_policy(route));
+}
+
 /// Drives one full session with arrivals `spacing` apart and returns
 /// (report, handles) so tests can assert on both channels.
 struct ServedSession {
@@ -167,12 +176,12 @@ struct ServedSession {
   std::vector<serve::StreamHandle> handles;
 };
 
-ServedSession serve_all(serve::Server& server, const ModelFn& model,
+ServedSession serve_all(serve::Server& server,
                         const std::vector<SparseTensor>& stream,
                         double spacing,
                         const std::vector<serve::Priority>* classes = nullptr) {
   ServedSession out;
-  server.start(model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     out.handles.push_back(server.submit(
         stream[i], spacing * static_cast<double>(i),
@@ -184,6 +193,7 @@ ServedSession serve_all(serve::Server& server, const ModelFn& model,
 // --- Plan / knob validation -------------------------------------------
 
 TEST(FaultPlanValidation, RejectsMalformedPlansAndKnobs) {
+  const ModelFn model = small_unet(79);
   serve::FaultPlan plan;
   plan.faults.push_back({2, serve::FaultKind::kCrash, 0.0});
   EXPECT_THROW(serve::validate_fault_plan(plan, 2), std::invalid_argument);
@@ -216,7 +226,8 @@ TEST(FaultPlanValidation, RejectsMalformedPlansAndKnobs) {
   EXPECT_NO_THROW(serve::validate_fault_tolerance({}));
 
   // Server construction validates the plan against the configured fleet.
-  serve::ServerConfig cfg = base_cfg(8).with_devices(2);
+  serve::ServerConfig cfg =
+      base_cfg(model, 8).with_fleet({{rtx2080ti(), 2}});
   serve::FaultPlan bad;
   bad.faults.push_back({5, serve::FaultKind::kCrash, 0.0});
   cfg.with_fault_plan(bad);
@@ -229,13 +240,12 @@ TEST(FaultFree, EmptyPlanBitEqualsNoPlan) {
   const ModelFn model = small_unet(80);
   const auto stream = duplicate_stream(8, 8000);
   auto run = [&](bool with_plan) {
-    serve::ServerConfig cfg = base_cfg(stream.size() + 1)
-                                  .with_devices(2)
-                                  .with_map_cache_bytes(std::size_t(64) << 20)
-                                  .with_route(serve::RoutePolicy::kCacheAffinity);
+    serve::ServerConfig cfg =
+        pair_cfg(model, stream.size() + 1, serve::RoutePolicy::kCacheAffinity)
+            .with_map_cache_bytes(std::size_t(64) << 20);
     if (with_plan) cfg.with_fault_plan(serve::FaultPlan{});
     serve::Server server(cfg);
-    return serve_all(server, model, stream, 0.001).report;
+    return serve_all(server, stream, 0.001).report;
   };
   const serve::StreamReport bare = run(false);
   const serve::StreamReport empty = run(true);
@@ -256,18 +266,16 @@ TEST(FaultFree, NonTriggeringPlanKeepsScheduleBitIdentical) {
   // A non-empty plan routes the session through the fault-tolerant
   // scheduler (shadow clock, deferred finalization, health-aware
   // routing); with no fault landing inside the stream every schedule
-  // field must still match the legacy path bit-for-bit.
+  // field must still match the fault-free run bit-for-bit.
   const ModelFn model = small_unet(81);
   const auto stream = duplicate_stream(8, 8100);
   for (const serve::RoutePolicy route :
        {serve::RoutePolicy::kLeastLoaded, serve::RoutePolicy::kCacheAffinity,
         serve::RoutePolicy::kEstimateAware}) {
     auto run = [&](bool with_plan) {
-      serve::ServerConfig cfg = base_cfg(stream.size() + 1)
-                                    .with_devices(2)
+      serve::ServerConfig cfg = pair_cfg(model, stream.size() + 1, route)
                                     .with_map_cache_bytes(std::size_t(64)
-                                                          << 20)
-                                    .with_route(route);
+                                                          << 20);
       if (with_plan) {
         // Lands eons after the last batch: activated only by the
         // end-of-stream drain, after every batch has finalized.
@@ -277,7 +285,7 @@ TEST(FaultFree, NonTriggeringPlanKeepsScheduleBitIdentical) {
         cfg.with_fault_plan(serve::FaultPlan{{slow}});
       }
       serve::Server server(cfg);
-      return serve_all(server, model, stream, 0.001).report;
+      return serve_all(server, stream, 0.001).report;
     };
     const serve::StreamReport bare = run(false);
     const serve::StreamReport planned = run(true);
@@ -295,13 +303,12 @@ TEST(FaultReplay, SameFaultPlanReplaysBitIdentical) {
   serve::DeviceFault crash{0, serve::FaultKind::kCrash};
   crash.at_dispatch = 2;
   auto run = [&] {
-    serve::ServerConfig cfg = base_cfg(stream.size() + 1)
-                                  .with_devices(2)
-                                  .with_map_cache_bytes(std::size_t(64) << 20)
-                                  .with_route(serve::RoutePolicy::kLeastLoaded)
-                                  .with_fault_plan(serve::FaultPlan{{crash}});
+    serve::ServerConfig cfg =
+        pair_cfg(model, stream.size() + 1, serve::RoutePolicy::kLeastLoaded)
+            .with_map_cache_bytes(std::size_t(64) << 20)
+            .with_fault_plan(serve::FaultPlan{{crash}});
     serve::Server server(cfg);
-    return serve_all(server, model, stream, 1e-5).report;
+    return serve_all(server, stream, 1e-5).report;
   };
   const serve::StreamReport a = run();
   const serve::StreamReport b = run();
@@ -335,14 +342,12 @@ TEST(FaultMatrix, ModeledFaultStatsWorkerInvariant) {
           serve::RoutePolicy::kEstimateAware}) {
       auto run = [&](int workers) {
         serve::ServerConfig cfg =
-            base_cfg(stream.size() + 1)
-                .with_devices(2)
+            pair_cfg(model, stream.size() + 1, route)
                 .with_workers(workers)
                 .with_map_cache_bytes(std::size_t(64) << 20)
-                .with_route(route)
                 .with_fault_plan(serve::FaultPlan{{make_fault(kind)}});
         serve::Server server(cfg);
-        return serve_all(server, model, stream, 1e-5).report;
+        return serve_all(server, stream, 1e-5).report;
       };
       const serve::StreamReport w1 = run(1);
       const serve::StreamReport w4 = run(4);
@@ -399,11 +404,11 @@ TEST(FaultOutcome, RetriesExhaustedAndNoHealthyDeviceResolveTyped) {
   crash.at_dispatch = 1;
   serve::FaultToleranceOptions tol;
   tol.max_attempts = 1;
-  serve::ServerConfig cfg = base_cfg(stream.size() + 1)
+  serve::ServerConfig cfg = base_cfg(model, stream.size() + 1)
                                 .with_fault_plan(serve::FaultPlan{{crash}})
                                 .with_fault_tolerance(tol);
   serve::Server server(cfg);
-  const ServedSession s = serve_all(server, model, stream, 1e-7);
+  const ServedSession s = serve_all(server, stream, 1e-7);
 
   EXPECT_EQ(s.report.stats.completed, 0u);
   EXPECT_EQ(s.report.stats.failed, 3u);
@@ -441,10 +446,10 @@ TEST(FaultOutcome, StallRecoveryRedispatchesTheLostBatch) {
   serve::DeviceFault stall{0, serve::FaultKind::kStall};
   stall.at_dispatch = 1;
   stall.duration_seconds = 0.05;
-  serve::ServerConfig cfg =
-      base_cfg(stream.size() + 1).with_fault_plan(serve::FaultPlan{{stall}});
+  serve::ServerConfig cfg = base_cfg(model, stream.size() + 1)
+                                .with_fault_plan(serve::FaultPlan{{stall}});
   serve::Server server(cfg);
-  const ServedSession s = serve_all(server, model, stream, 1e-7);
+  const ServedSession s = serve_all(server, stream, 1e-7);
 
   EXPECT_EQ(s.report.stats.completed, 3u);
   EXPECT_EQ(s.report.stats.failed, 0u);
@@ -487,12 +492,10 @@ TEST(FaultOutcome, CrashRedispatchesToTheSurvivingShard) {
   serve::DeviceFault crash{0, serve::FaultKind::kCrash};
   crash.at_dispatch = 2;
   serve::ServerConfig cfg =
-      base_cfg(stream.size() + 1)
-          .with_devices(2)
-          .with_route(serve::RoutePolicy::kLeastLoaded)
+      pair_cfg(model, stream.size() + 1, serve::RoutePolicy::kLeastLoaded)
           .with_fault_plan(serve::FaultPlan{{crash}});
   serve::Server server(cfg);
-  const ServedSession s = serve_all(server, model, stream, 1e-7);
+  const ServedSession s = serve_all(server, stream, 1e-7);
 
   EXPECT_EQ(s.report.stats.completed, 4u);
   EXPECT_EQ(s.report.stats.failed, 0u);
@@ -517,12 +520,10 @@ TEST(FaultRouting, NonHealthAwarePoliciesFallBackAroundDownShards) {
     stream.push_back(random_tensor(100, 12, 4, 8700 + i));
   serve::DeviceFault crash{0, serve::FaultKind::kCrash, 0.0};
   serve::ServerConfig cfg =
-      base_cfg(stream.size() + 1)
-          .with_devices(2)
-          .with_route(serve::RoutePolicy::kRoundRobin)
+      pair_cfg(model, stream.size() + 1, serve::RoutePolicy::kRoundRobin)
           .with_fault_plan(serve::FaultPlan{{crash}});
   serve::Server server(cfg);
-  const ServedSession s = serve_all(server, model, stream, 1e-5);
+  const ServedSession s = serve_all(server, stream, 1e-5);
   EXPECT_EQ(s.report.stats.completed, 4u);
   EXPECT_EQ(s.report.stats.failed, 0u);
   EXPECT_EQ(s.report.stats.retries, 0u);
@@ -548,11 +549,11 @@ TEST(FaultDegrade, ClassDeadlinesShedLowAndHoldHigh) {
   stall.duration_seconds = 0.5;
   serve::FaultToleranceOptions tol;
   tol.degrade_deadline_seconds[static_cast<int>(serve::Priority::kLow)] = 0.01;
-  serve::ServerConfig cfg = base_cfg(stream.size() + 1)
+  serve::ServerConfig cfg = base_cfg(model, stream.size() + 1)
                                 .with_fault_plan(serve::FaultPlan{{stall}})
                                 .with_fault_tolerance(tol);
   serve::Server server(cfg);
-  const ServedSession s = serve_all(server, model, stream, 1e-7, &classes);
+  const ServedSession s = serve_all(server, stream, 1e-7, &classes);
 
   EXPECT_EQ(s.report.stats.completed, 2u);
   EXPECT_EQ(s.report.stats.failed, 2u);
@@ -585,15 +586,14 @@ TEST(FaultWarm, ReplacementShardWarmStartsFromSnapshot) {
   const ModelFn model = small_unet(89);
   const auto stream = duplicate_stream(10, 8900);
   auto make_cfg = [&] {
-    return base_cfg(stream.size() + 1)
-        .with_devices(2)
-        .with_map_cache_bytes(std::size_t(64) << 20)
-        .with_route(serve::RoutePolicy::kCacheAffinity);
+    return pair_cfg(model, stream.size() + 1,
+                    serve::RoutePolicy::kCacheAffinity)
+        .with_map_cache_bytes(std::size_t(64) << 20);
   };
 
   // First life (fault-free) builds the snapshot covering every scan.
   serve::Server first(make_cfg());
-  serve_all(first, model, stream, 0.001);
+  serve_all(first, stream, 0.001);
   std::stringstream image;
   first.map_cache()->save_snapshot(image);
   const auto snapshot =
@@ -607,7 +607,7 @@ TEST(FaultWarm, ReplacementShardWarmStartsFromSnapshot) {
         make_cfg().with_fault_plan(serve::FaultPlan{{crash}});
     if (warm) cfg.with_warm_snapshot(snapshot);
     serve::Server server(cfg);
-    return serve_all(server, model, stream, 1e-5).report;
+    return serve_all(server, stream, 1e-5).report;
   };
   const serve::StreamReport warm = run(true);
   const serve::StreamReport cold = run(false);

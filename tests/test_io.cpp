@@ -402,6 +402,98 @@ TEST(MapCacheIo, SaveRejectsMalformedEntries) {
   EXPECT_THROW(io::save_map_cache(ss2, both), std::runtime_error);
 }
 
+// --- Bounded-memory loading --------------------------------------------
+//
+// Every count in a stream is a claim until its bytes arrive. These
+// header-only streams declare the largest counts each loader accepts
+// and then end: loading must fail with the truncation error after
+// allocating no more than a small fixed slice, never size a container
+// from the claim (tens of GB).
+
+/// Appends the little-endian bytes of `v` to `out`.
+template <typename T>
+void put(std::string& out, T v) {
+  char b[sizeof(T)];
+  std::memcpy(b, &v, sizeof(T));
+  out.append(b, sizeof(T));
+}
+
+void expect_truncated(const std::string& bytes,
+                      void (*load)(std::istream&)) {
+  std::stringstream ss(bytes);
+  EXPECT_THROW(load(ss), std::runtime_error);
+}
+
+TEST(Io, HeaderOnlyPointsClaimDoesNotAllocate) {
+  std::string bytes;
+  put<uint32_t>(bytes, 0x54535054);  // "TSPT"
+  put<uint32_t>(bytes, 1);
+  put<uint64_t>(bytes, uint64_t(1) << 32);  // points claimed
+  expect_truncated(bytes, [](std::istream& is) { io::load_points(is); });
+}
+
+TEST(Io, HeaderOnlyTensorClaimsDoNotAllocate) {
+  std::string coords_claim;
+  put<uint32_t>(coords_claim, 0x5453544e);  // "TSTN"
+  put<uint32_t>(coords_claim, 1);
+  put<uint64_t>(coords_claim, uint64_t(1) << 32);  // coords claimed
+  put<uint64_t>(coords_claim, 4);                  // channels
+  put<int32_t>(coords_claim, 1);                   // stride
+  expect_truncated(coords_claim,
+                   [](std::istream& is) { io::load_tensor(is); });
+
+  // One real coordinate, then a feature block claimed at 2^20 channels.
+  std::string feats_claim;
+  put<uint32_t>(feats_claim, 0x5453544e);
+  put<uint32_t>(feats_claim, 1);
+  put<uint64_t>(feats_claim, 1);
+  put<uint64_t>(feats_claim, uint64_t(1) << 20);
+  put<int32_t>(feats_claim, 1);
+  for (const int32_t v : {0, 1, 2, 3}) put<int32_t>(feats_claim, v);
+  expect_truncated(feats_claim,
+                   [](std::istream& is) { io::load_tensor(is); });
+}
+
+/// Snapshot header with a budget no claim can exceed.
+std::string snapshot_header(uint64_t entries) {
+  std::string bytes;
+  put<uint32_t>(bytes, 0x5453434d);  // "TSCM"
+  put<uint32_t>(bytes, 1);
+  put<uint64_t>(bytes, std::numeric_limits<uint64_t>::max());
+  put<uint64_t>(bytes, entries);
+  return bytes;
+}
+
+TEST(MapCacheIo, HeaderOnlyClaimsDoNotAllocate) {
+  // 2^24 entries claimed, none present.
+  expect_truncated(snapshot_header(uint64_t(1) << 24),
+                   [](std::istream& is) { io::load_map_cache(is); });
+
+  // One kernel-map entry whose single offset claims 2^28 pairs.
+  std::string offset_claim = snapshot_header(1);
+  put<uint64_t>(offset_claim, 0x1111);  // key.lo
+  put<uint64_t>(offset_claim, 0x2222);  // key.hi
+  put<double>(offset_claim, 0.0);       // build_wall_seconds
+  put<uint64_t>(offset_claim, 0);       // declared bytes
+  put<uint8_t>(offset_claim, 0);        // kernel-map payload
+  put<int32_t>(offset_claim, 3);        // kernel_size
+  put<uint64_t>(offset_claim, 1);       // volume
+  put<uint64_t>(offset_claim, uint64_t(1) << 28);
+  expect_truncated(offset_claim,
+                   [](std::istream& is) { io::load_map_cache(is); });
+
+  // One downsample-coords entry claiming 2^32 coordinates.
+  std::string coords_claim = snapshot_header(1);
+  put<uint64_t>(coords_claim, 0x3333);
+  put<uint64_t>(coords_claim, 0x4444);
+  put<double>(coords_claim, 0.0);
+  put<uint64_t>(coords_claim, 0);
+  put<uint8_t>(coords_claim, 1);  // coords payload
+  put<uint64_t>(coords_claim, uint64_t(1) << 32);
+  expect_truncated(coords_claim,
+                   [](std::istream& is) { io::load_map_cache(is); });
+}
+
 TEST(Io, TimelineCsvContainsAllStages) {
   Timeline t;
   t.add(Stage::kGather, 0.001);

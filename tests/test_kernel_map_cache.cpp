@@ -1,6 +1,6 @@
 // Cross-request kernel-map cache: content-addressed keys, bit-identical
 // warm-vs-cold results, byte-budget LRU eviction, hit accounting, and —
-// through BatchRunner — thread-safe sharing with modeled statistics that
+// through serve::Server — thread-safe sharing with modeled statistics that
 // are deterministic for any worker count.
 #include <gtest/gtest.h>
 
@@ -18,8 +18,7 @@
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
 #include "nn/minkunet.hpp"
-#include "serve/batch_runner.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/server.hpp"
 
 namespace ts {
 namespace {
@@ -534,22 +533,23 @@ TEST(MapCacheSnapshot, ReplayWarmStartMatchesNeverSerializedReplay) {
 
 // --- Serving integration ----------------------------------------------
 
-serve::StreamReport serve_stream(int workers, std::size_t cache_bytes,
-                                 const std::vector<SparseTensor>& scans,
-                                 bool borrow = false) {
-  const ModelFn model = small_unet(21);
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = cache_bytes;
-  opt.run.borrow_input = borrow;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  serve::RequestQueue queue;
-  std::vector<serve::StreamHandle> handles;
+serve::StreamReport serve_scans(int workers, std::size_t cache_bytes,
+                                const std::vector<SparseTensor>& scans,
+                                bool borrow = false) {
+  RunOptions run;
+  run.borrow_input = borrow;
+  serve::ServerConfig cfg;
+  cfg.with_model("unet", small_unet(21))
+      .with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_run(run)
+      .with_map_cache_bytes(cache_bytes);
+  serve::Server server(cfg);
+  server.start();
   for (std::size_t i = 0; i < scans.size(); ++i)
-    handles.push_back(
-        queue.submit(scans[i], 0.001 * static_cast<double>(i)));
-  queue.close();
-  return runner.serve(model, queue);
+    server.submit(scans[i], 0.001 * static_cast<double>(i));
+  return server.drain();
 }
 
 TEST(KernelMapCacheServe, DuplicateStreamAmortizesMappingDeterministically) {
@@ -559,9 +559,9 @@ TEST(KernelMapCacheServe, DuplicateStreamAmortizesMappingDeterministically) {
   const SparseTensor scan = random_tensor(250, 13, 4, 9);
   const std::vector<SparseTensor> scans(12, scan);
 
-  const serve::StreamReport off = serve_stream(4, 0, scans);
-  const serve::StreamReport on1 = serve_stream(1, 64 << 20, scans);
-  const serve::StreamReport on4 = serve_stream(4, 64 << 20, scans);
+  const serve::StreamReport off = serve_scans(4, 0, scans);
+  const serve::StreamReport on1 = serve_scans(1, 64 << 20, scans);
+  const serve::StreamReport on4 = serve_scans(4, 64 << 20, scans);
 
   // Deterministic across worker counts: identical aggregate timeline and
   // per-request service times.
@@ -591,8 +591,8 @@ TEST(KernelMapCacheServe, UniqueStreamMatchesCacheOffBitExactly) {
   for (int i = 0; i < 6; ++i)
     scans.push_back(random_tensor(200 + 10 * i, 13, 4,
                                   100 + static_cast<uint64_t>(i)));
-  const serve::StreamReport off = serve_stream(3, 0, scans);
-  const serve::StreamReport on = serve_stream(3, 64 << 20, scans);
+  const serve::StreamReport off = serve_scans(3, 0, scans);
+  const serve::StreamReport on = serve_scans(3, 64 << 20, scans);
   expect_same_timeline(off.stats.aggregate, on.stats.aggregate);
   EXPECT_EQ(on.stats.map_cache.hits, 0u);
 }
@@ -607,9 +607,9 @@ TEST(KernelMapCacheServe, RepeatedServeRunsAreDeterministic) {
     scans.push_back(i % 2 ? dup
                           : random_tensor(200, 13, 4,
                                           200 + static_cast<uint64_t>(i)));
-  const serve::StreamReport first = serve_stream(8, 32 << 20, scans);
+  const serve::StreamReport first = serve_scans(8, 32 << 20, scans);
   for (int rep = 0; rep < 2; ++rep) {
-    const serve::StreamReport again = serve_stream(8, 32 << 20, scans);
+    const serve::StreamReport again = serve_scans(8, 32 << 20, scans);
     expect_same_timeline(first.stats.aggregate, again.stats.aggregate);
     EXPECT_DOUBLE_EQ(first.stats.e2e_p99_seconds,
                      again.stats.e2e_p99_seconds);
@@ -625,9 +625,9 @@ TEST(KernelMapCacheServe, BorrowInputMatchesCopyPath) {
     scans.push_back(random_tensor(180, 12, 4,
                                   300 + static_cast<uint64_t>(i)));
   const serve::StreamReport copy =
-      serve_stream(2, 16 << 20, scans, /*borrow=*/false);
+      serve_scans(2, 16 << 20, scans, /*borrow=*/false);
   const serve::StreamReport borrow =
-      serve_stream(2, 16 << 20, scans, /*borrow=*/true);
+      serve_scans(2, 16 << 20, scans, /*borrow=*/true);
   expect_same_timeline(copy.stats.aggregate, borrow.stats.aggregate);
   ASSERT_EQ(copy.requests.size(), borrow.requests.size());
   for (std::size_t i = 0; i < copy.requests.size(); ++i)

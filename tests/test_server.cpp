@@ -1,7 +1,7 @@
-// serve::Server session API: lifecycle, bit-equivalence of the legacy
-// BatchRunner::serve wrapper with a Server session, incremental
-// StreamHandle fulfillment, pluggable routing (heterogeneous
-// service-estimate hook), and warm-context hand-off across sessions.
+// serve::Server session API: lifecycle, worker/device invariance,
+// incremental StreamHandle fulfillment, pluggable routing (heterogeneous
+// service-estimate hook), warm-context hand-off across sessions, warm
+// starts, and the multi-model registry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -170,8 +170,9 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
       .with_priority_preemption(true)
       .with_batch_overhead(0.002)
       .with_reuse_context(false)
-      .with_devices(2)
-      .with_route(serve::RoutePolicy::kCacheAffinity);
+      .with_routing_policy(
+          serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
+      .with_model("unet", small_unet(10));
   serve::BatcherOptions b;
   b.max_batch = 5;
   cfg.with_batcher(b);
@@ -188,8 +189,10 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
   EXPECT_DOUBLE_EQ(cfg.priority.aging_seconds, 0.25);
   EXPECT_DOUBLE_EQ(cfg.batch_overhead_seconds, 0.002);
   EXPECT_FALSE(cfg.reuse_context);
-  EXPECT_EQ(cfg.shard.devices, 2);
-  EXPECT_EQ(cfg.shard.route, serve::RoutePolicy::kCacheAffinity);
+  ASSERT_TRUE(cfg.routing);
+  EXPECT_STREQ(cfg.routing->name(), "cache_affinity");
+  ASSERT_EQ(cfg.models.size(), 1u);
+  EXPECT_EQ(cfg.models[0].name, "unet");
 }
 
 TEST(Server, ValidatesConfigurationAtConstruction) {
@@ -198,7 +201,8 @@ TEST(Server, ValidatesConfigurationAtConstruction) {
   EXPECT_THROW(serve::Server{bad_overhead}, std::invalid_argument);
 
   serve::ServerConfig bad_devices;
-  bad_devices.shard.devices = serve::kMaxModeledDevices + 1;
+  bad_devices.fleet.assign(
+      static_cast<std::size_t>(serve::kMaxModeledDevices) + 1, rtx2080ti());
   EXPECT_THROW(serve::Server{bad_devices}, std::invalid_argument);
 
   serve::ServerConfig bad_queue;
@@ -216,14 +220,16 @@ TEST(Server, ValidatesConfigurationAtConstruction) {
 
 TEST(Server, LifecycleMisuseThrowsLogicError) {
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", small_unet(12));
   serve::Server server(cfg);
   const SparseTensor x = random_tensor(40, 8, 4, 11);
   EXPECT_THROW(server.submit(x, 0.0), std::logic_error);
   EXPECT_THROW(server.drain(), std::logic_error);
-  server.start(small_unet(12));
+  server.start();
   EXPECT_TRUE(server.running());
-  EXPECT_THROW(server.start(small_unet(12)), std::logic_error);
+  EXPECT_THROW(server.start(), std::logic_error);
   server.submit(x, 0.0);
   const serve::StreamReport report = server.drain();
   EXPECT_FALSE(server.running());
@@ -234,10 +240,12 @@ TEST(Server, LifecycleMisuseThrowsLogicError) {
 
 TEST(Server, SubmitAfterStopAndRestartAfterDrainAreHandled) {
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", small_unet(14));
   serve::Server server(cfg);
   const SparseTensor x = random_tensor(40, 8, 4, 13);
-  server.start(small_unet(14));
+  server.start();
   server.submit(x, 0.0);
   server.stop();
   // A stopped session admits nothing, on either admission path.
@@ -245,7 +253,7 @@ TEST(Server, SubmitAfterStopAndRestartAfterDrainAreHandled) {
   EXPECT_THROW(server.try_submit(x, 0.0), std::logic_error);
   EXPECT_THROW(server.drain(), std::logic_error);
   // The server object itself survives: a fresh session starts cleanly.
-  server.start(small_unet(14));
+  server.start();
   server.submit(x, 0.0);
   EXPECT_EQ(server.drain().stats.completed, 1u);
 }
@@ -255,10 +263,12 @@ TEST(Server, DrainRacingStopIsATypedErrorNeverAHang) {
   // join; the loser either sees a typed std::logic_error (session gone)
   // or a no-op (stop when idle) — never a double-join or a hang.
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", small_unet(15));
   for (int round = 0; round < 8; ++round) {
     serve::Server server(cfg);
-    server.start(small_unet(15));
+    server.start();
     server.submit(random_tensor(40, 8, 4, 15), 0.0);
     std::atomic<int> drained{0}, refused{0};
     std::thread t1([&] {
@@ -275,7 +285,7 @@ TEST(Server, DrainRacingStopIsATypedErrorNeverAHang) {
     EXPECT_EQ(drained + refused, 1);
     EXPECT_FALSE(server.running());
     // Concurrent start() against the settled server still works.
-    server.start(small_unet(15));
+    server.start();
     server.stop();
   }
 }
@@ -294,7 +304,8 @@ TEST(Server, SubmitRacingDrainStartCyclesNeverTouchesAFreedQueue) {
       // A small queue bounds each cycle's drain work: producers mostly
       // see a full queue (nullopt), which is admission traffic all the
       // same — the lock-ordering under test, not throughput.
-      .with_queue_depth(8);
+      .with_queue_depth(8)
+      .with_model("unet", small_unet(17));
   serve::Server server(cfg);
   const SparseTensor x = random_tensor(40, 8, 4, 16);
   std::atomic<bool> done{false};
@@ -317,7 +328,7 @@ TEST(Server, SubmitRacingDrainStartCyclesNeverTouchesAFreedQueue) {
     });
   }
   for (int cycle = 0; cycle < 6; ++cycle) {
-    server.start(small_unet(17));
+    server.start();
     // Give producers a window to land submissions in this session.
     (void)server.try_submit(x, 1e6);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -329,66 +340,11 @@ TEST(Server, SubmitRacingDrainStartCyclesNeverTouchesAFreedQueue) {
   EXPECT_FALSE(server.running());
 }
 
-// --- Legacy wrapper <-> Server session bit-equivalence ----------------
-
-TEST(ServeEquivalence, LegacyServeBitEqualsServerSession) {
-  const ModelFn model = small_unet(41);
-  const auto stream = duplicate_stream(10, 4100);
-  const DeviceSpec dev = rtx2080ti();
-  const EngineConfig engine = torchsparse_config();
-  const std::size_t cache_bytes = std::size_t(64) << 20;
-
-  // Legacy one-shot path: external queue + BatchRunner::serve.
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  opt.map_cache_bytes = cache_bytes;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kSloAware;
-  sopt.batcher.max_batch = 3;
-  sopt.batcher.slo_budget_seconds = 0.004;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = 2;
-  sopt.shard.route = serve::RoutePolicy::kCacheAffinity;
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.002 * static_cast<double>(i));
-  queue.close();
-  const serve::StreamReport legacy =
-      serve::BatchRunner(dev, engine, opt).serve(model, queue, sopt);
-
-  // Session path: the same deployment expressed as a ServerConfig.
-  serve::ServerConfig cfg;
-  cfg.with_device(dev)
-      .with_engine(engine)
-      .with_workers(2)
-      .with_map_cache_bytes(cache_bytes)
-      .with_queue_depth(stream.size() + 1)
-      .with_batcher(sopt.batcher)
-      .with_batch_overhead(sopt.batch_overhead_seconds)
-      .with_devices(2)
-      .with_route(serve::RoutePolicy::kCacheAffinity);
-  serve::Server server(cfg);
-  server.start(model);
-  std::vector<serve::StreamHandle> handles;
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    handles.push_back(
-        server.submit(stream[i], 0.002 * static_cast<double>(i)));
-  const serve::StreamReport session = server.drain();
-
-  // Identical modeled outputs, schedule, and stats through either API.
-  expect_same_report(legacy, session);
-  EXPECT_EQ(session.stats.per_class[1].completed, stream.size());
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    const serve::StreamResult& r = handles[i].get();
-    EXPECT_DOUBLE_EQ(r.finish_seconds,
-                     legacy.requests[i].finish_seconds);
-    expect_same_timeline(r.timeline, legacy.requests[i].timeline);
-  }
-}
+// --- Worker/device invariance -----------------------------------------
 
 TEST(ServeEquivalence, WorkerAndDeviceCountsKeepModeledStatsInvariant) {
-  // The Server path inherits the legacy invariance: modeled accounting
-  // stats are independent of worker count at every device count.
+  // Modeled accounting stats are independent of worker count at every
+  // device count.
   const ModelFn model = small_unet(42);
   const auto stream = duplicate_stream(8, 4200);
   auto serve_with = [&](int workers, int devices) {
@@ -398,13 +354,15 @@ TEST(ServeEquivalence, WorkerAndDeviceCountsKeepModeledStatsInvariant) {
         .with_workers(workers)
         .with_map_cache_bytes(std::size_t(64) << 20)
         .with_queue_depth(stream.size() + 1)
-        .with_devices(devices)
-        .with_route(serve::RoutePolicy::kCacheAffinity);
+        .with_fleet({{rtx2080ti(), devices}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
+        .with_model("unet", model);
     serve::BatcherOptions b;
     b.policy = serve::BatchPolicy::kImmediate;
     cfg.with_batcher(b);
     serve::Server server(cfg);
-    server.start(model);
+    server.start();
     for (std::size_t i = 0; i < stream.size(); ++i)
       server.submit(stream[i], 0.001 * static_cast<double>(i));
     return server.drain();
@@ -434,12 +392,13 @@ TEST(IncrementalFulfillment, EarlyHandleReadyWhileLaterBatchesPending) {
   cfg.with_device(rtx2080ti())
       .with_engine(torchsparse_config())
       .with_workers(2)
-      .with_queue_depth(stream.size() + 1);
+      .with_queue_depth(stream.size() + 1)
+      .with_model("unet", model);
   serve::BatcherOptions b;
   b.policy = serve::BatchPolicy::kImmediate;
   cfg.with_batcher(b);
   serve::Server server(cfg);
-  server.start(model);
+  server.start();
 
   // Submit only the first request; its singleton batch is placeable the
   // moment it is measured, long before the stream ends. get() blocks on
@@ -466,21 +425,15 @@ TEST(IncrementalFulfillment, EarlyHandleReadyWhileLaterBatchesPending) {
   EXPECT_DOUBLE_EQ(early.finish_seconds, report.requests[0].finish_seconds);
   EXPECT_DOUBLE_EQ(early.e2e_seconds, report.requests[0].e2e_seconds);
 
-  // ...and the whole stream is bit-identical to the legacy stream-end
-  // path on the same (input, arrival) stream.
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  queue.submit(stream[0], 0.0);
+  // ...and observing a handle early never perturbs the schedule: a
+  // session that submits the whole stream before reading any handle
+  // reports bit-identically.
+  serve::Server unobserved(cfg);
+  unobserved.start();
+  unobserved.submit(stream[0], 0.0);
   for (std::size_t i = 1; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.001 * static_cast<double>(i));
-  queue.close();
-  const serve::StreamReport legacy =
-      serve::BatchRunner(rtx2080ti(), torchsparse_config(), opt)
-          .serve(model, queue, sopt);
-  expect_same_report(legacy, report);
+    unobserved.submit(stream[i], 0.001 * static_cast<double>(i));
+  expect_same_report(unobserved.drain(), report);
 }
 
 // --- Pluggable routing: heterogeneous service estimates ----------------
@@ -585,7 +538,7 @@ TEST(ContextHandOff, SessionsReuseWarmContextsWithIdenticalResults) {
   const ModelFn model = small_unet(45);
   const auto stream = duplicate_stream(6, 4500);
   auto run_session = [&](serve::Server& server) {
-    server.start(model);
+    server.start();
     for (std::size_t i = 0; i < stream.size(); ++i)
       server.submit(stream[i], 0.001 * static_cast<double>(i));
     return server.drain();
@@ -596,7 +549,8 @@ TEST(ContextHandOff, SessionsReuseWarmContextsWithIdenticalResults) {
       .with_engine(torchsparse_config())
       .with_workers(2)
       .with_queue_depth(stream.size() + 1)
-      .with_devices(2);
+      .with_fleet({{rtx2080ti(), 2}})
+      .with_model("unet", model);
   serve::Server reused(cfg);
   const serve::StreamReport s1 = run_session(reused);
   // Session 2 adopts session 1's warm contexts (hand-off); a fresh
@@ -610,20 +564,30 @@ TEST(ContextHandOff, SessionsReuseWarmContextsWithIdenticalResults) {
 
 // --- Error delivery ----------------------------------------------------
 
-TEST(Server, RequestFailureReachesUnfulfilledHandlesAndDrainRethrows) {
-  serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
-  serve::Server server(cfg);
-  const ModelFn broken = [](const SparseTensor&, ExecContext&) {
-    throw std::runtime_error("model exploded");
+/// A model that throws while `*broken` is set and otherwise runs `good`
+/// — one registry entry that fails one session and serves the next.
+ModelFn breakable(std::shared_ptr<std::atomic<bool>> broken, ModelFn good) {
+  return [broken, good](const SparseTensor& x, ExecContext& ctx) {
+    if (*broken) throw std::runtime_error("model exploded");
+    good(x, ctx);
   };
-  server.start(broken);
+}
+
+TEST(Server, RequestFailureReachesUnfulfilledHandlesAndDrainRethrows) {
+  auto broken = std::make_shared<std::atomic<bool>>(true);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", breakable(broken, small_unet(46)));
+  serve::Server server(cfg);
+  server.start();
   serve::StreamHandle h =
       server.submit(random_tensor(50, 8, 4, 4600), 0.0);
   EXPECT_THROW(server.drain(), std::runtime_error);
   EXPECT_THROW(h.get(), std::runtime_error);
   // The server is reusable after a failed session.
-  server.start(small_unet(46));
+  *broken = false;
+  server.start();
   server.submit(random_tensor(50, 8, 4, 4601), 0.0);
   const serve::StreamReport ok = server.drain();
   EXPECT_EQ(ok.stats.completed, 1u);
@@ -634,24 +598,25 @@ TEST(Server, CustomBatchingPolicyIsResetAfterFailedSession) {
   // failed stream skips the normal end-of-stream flush, so the core
   // must reset it on the error path or session 2 would trip over
   // session 1's stale arrival clock and pending ids.
+  auto broken = std::make_shared<std::atomic<bool>>(true);
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", breakable(broken, small_unet(48)));
   auto policy = std::make_shared<serve::SloBatchingPolicy>(
       serve::BatcherOptions{});
   cfg.with_batching_policy(policy);
   serve::Server server(cfg);
 
-  const ModelFn broken = [](const SparseTensor&, ExecContext&) {
-    throw std::runtime_error("model exploded");
-  };
-  server.start(broken);
+  server.start();
   server.submit(random_tensor(50, 8, 4, 4800), 5.0);  // late stamp
   EXPECT_THROW(server.drain(), std::runtime_error);
   EXPECT_EQ(policy->pending(), 0u);
 
   // Session 2 submits at an *earlier* modeled stamp than session 1's
   // last arrival — only a reset policy accepts it.
-  server.start(small_unet(48));
+  *broken = false;
+  server.start();
   server.submit(random_tensor(50, 8, 4, 4801), 0.0);
   const serve::StreamReport ok = server.drain();
   EXPECT_EQ(ok.stats.completed, 1u);
@@ -769,9 +734,9 @@ TEST(DedupBatching, GroupsNeverCrossPriorityClasses) {
 
 // --- Warm-started servers ---------------------------------------------
 
-serve::StreamReport serve_all(serve::Server& server, const ModelFn& model,
+serve::StreamReport serve_all(serve::Server& server,
                               const std::vector<SparseTensor>& stream) {
-  server.start(model);
+  server.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit(stream[i], 0.002 * static_cast<double>(i));
   return server.drain();
@@ -787,14 +752,16 @@ TEST(ServerWarmStart, RestartServesEntirelyFromSnapshot) {
         .with_workers(2)
         .with_map_cache_bytes(std::size_t(64) << 20)
         .with_queue_depth(stream.size() + 1)
-        .with_devices(2)
-        .with_route(serve::RoutePolicy::kCacheAffinity);
+        .with_fleet({{rtx2080ti(), 2}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
+        .with_model("unet", model);
     return cfg;
   };
 
   // First life: every distinct scan pays its cold map builds.
   serve::Server first(make_cfg());
-  const serve::StreamReport life1 = serve_all(first, model, stream);
+  const serve::StreamReport life1 = serve_all(first, stream);
   ASSERT_GT(life1.stats.map_cache.misses, 0u);
 
   // Restart hand-off through the serialized form: snapshot the wall
@@ -804,14 +771,14 @@ TEST(ServerWarmStart, RestartServesEntirelyFromSnapshot) {
   const auto snapshot =
       std::make_shared<const MapCacheSnapshot>(io::load_map_cache(image));
   serve::Server warmed(make_cfg().with_warm_snapshot(snapshot));
-  const serve::StreamReport life2 = serve_all(warmed, model, stream);
+  const serve::StreamReport life2 = serve_all(warmed, stream);
   EXPECT_EQ(life2.stats.map_cache.misses, 0u);
   EXPECT_EQ(life2.stats.map_cache.hits, life2.stats.map_cache.lookups);
   EXPECT_EQ(life2.stats.map_cache.lookups, life1.stats.map_cache.lookups);
 
   // A cold restart (no snapshot) replays the full first-life ramp.
   serve::Server cold(make_cfg());
-  const serve::StreamReport life3 = serve_all(cold, model, stream);
+  const serve::StreamReport life3 = serve_all(cold, stream);
   EXPECT_EQ(life3.stats.map_cache.misses, life1.stats.map_cache.misses);
 }
 
@@ -824,11 +791,12 @@ TEST(ServerWarmStart, ConfigWarmStartLoadsFromFileOrThrows) {
         .with_engine(torchsparse_config())
         .with_workers(2)
         .with_map_cache_bytes(std::size_t(64) << 20)
-        .with_queue_depth(stream.size() + 1);
+        .with_queue_depth(stream.size() + 1)
+        .with_model("unet", model);
     return cfg;
   };
   serve::Server first(make_cfg());
-  serve_all(first, model, stream);
+  serve_all(first, stream);
   const std::string path = "/tmp/ts_server_warm_test.tsmc";
   io::save_map_cache_file(path, first.map_cache()->export_snapshot());
 
@@ -837,13 +805,13 @@ TEST(ServerWarmStart, ConfigWarmStartLoadsFromFileOrThrows) {
   from_file.warm_start(path);
   ASSERT_TRUE(from_file.warm_snapshot);
   serve::Server warmed_file(from_file);
-  const serve::StreamReport via_file = serve_all(warmed_file, model, stream);
+  const serve::StreamReport via_file = serve_all(warmed_file, stream);
 
   std::stringstream image;
   first.map_cache()->save_snapshot(image);
   serve::Server warmed_mem(make_cfg().with_warm_snapshot(
       std::make_shared<const MapCacheSnapshot>(io::load_map_cache(image))));
-  const serve::StreamReport via_mem = serve_all(warmed_mem, model, stream);
+  const serve::StreamReport via_mem = serve_all(warmed_mem, stream);
   expect_same_report(via_file, via_mem);
   EXPECT_EQ(via_file.stats.map_cache.misses, 0u);
 
@@ -853,7 +821,7 @@ TEST(ServerWarmStart, ConfigWarmStartLoadsFromFileOrThrows) {
 }
 
 TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
-  // The full warm-start + dedup stack keeps the legacy invariance:
+  // The full warm-start + dedup stack keeps the worker invariance:
   // modeled stats are a function of the (snapshot, stream) alone, not
   // of worker or lane parallelism, at every device count.
   const ModelFn model = small_unet(51);
@@ -865,9 +833,11 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
         .with_workers(workers)
         .with_map_cache_bytes(std::size_t(64) << 20)
         .with_queue_depth(stream.size() + 1)
-        .with_devices(devices)
-        .with_route(serve::RoutePolicy::kRoundRobin)
-        .with_dedup_batching();
+        .with_fleet({{rtx2080ti(), devices}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kRoundRobin))
+        .with_dedup_batching()
+        .with_model("unet", model);
     serve::BatcherOptions b;
     b.policy = serve::BatchPolicy::kSloAware;
     b.max_batch = 3;
@@ -876,7 +846,7 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
     return cfg;
   };
   serve::Server seed_server(make_cfg(2, 2));
-  serve_all(seed_server, model, stream);
+  serve_all(seed_server, stream);
   std::stringstream image;
   seed_server.map_cache()->save_snapshot(image);
   const auto snapshot =
@@ -885,8 +855,8 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
   for (const int devices : {1, 2}) {
     serve::Server w1(make_cfg(1, devices).with_warm_snapshot(snapshot));
     serve::Server w4(make_cfg(4, devices).with_warm_snapshot(snapshot));
-    const serve::StreamReport r1 = serve_all(w1, model, stream);
-    const serve::StreamReport r4 = serve_all(w4, model, stream);
+    const serve::StreamReport r1 = serve_all(w1, stream);
+    const serve::StreamReport r4 = serve_all(w4, stream);
     expect_same_timeline(r1.stats.aggregate, r4.stats.aggregate);
     EXPECT_EQ(r1.stats.map_cache.hits, r4.stats.map_cache.hits);
     EXPECT_EQ(r1.stats.map_cache.misses, r4.stats.map_cache.misses);
@@ -901,42 +871,12 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
   }
 }
 
-TEST(Server, RunBatchMatchesBatchRunnerRun) {
-  const ModelFn model = small_unet(47);
-  std::vector<SparseTensor> inputs;
-  for (int i = 0; i < 4; ++i)
-    inputs.push_back(random_tensor(100 + 10 * i, 12, 4,
-                                   4700 + static_cast<uint64_t>(i)));
-  serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti())
-      .with_engine(torchsparse_config())
-      .with_workers(2);
-  const serve::Server server(cfg);
-  const serve::BatchReport via_server = server.run_batch(model, inputs);
-
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchReport direct =
-      serve::BatchRunner(rtx2080ti(), torchsparse_config(), opt)
-          .run(model, inputs);
-  ASSERT_EQ(via_server.requests.size(), direct.requests.size());
-  for (std::size_t i = 0; i < direct.requests.size(); ++i) {
-    expect_same_timeline(via_server.requests[i].timeline,
-                         direct.requests[i].timeline);
-    EXPECT_DOUBLE_EQ(via_server.requests[i].finish_seconds,
-                     direct.requests[i].finish_seconds);
-  }
-  EXPECT_DOUBLE_EQ(via_server.stats.makespan_seconds,
-                   direct.stats.makespan_seconds);
-}
-
 // --- Multi-model registry ---------------------------------------------
 
-TEST(MultiModel, OneEntryRegistryBitEqualsLegacySession) {
-  // The equivalence pin the whole registry design hangs on: a
-  // single-entry registry (namespace 0, inherited SLO, no contending
-  // model) must serve bit-identically to the same deployment through
-  // start(model) — schedule, stats, cache accounting, everything.
+TEST(MultiModel, SubmitShorthandBitEqualsSubmitToModelZero) {
+  // submit() is the model-0 shorthand: on a one-entry registry it must
+  // serve bit-identically to submit_to(0, ...) — schedule, stats, cache
+  // accounting, everything.
   const ModelFn model = small_unet(51);
   const auto stream = duplicate_stream(10, 5100);
   auto base_config = [&] {
@@ -947,8 +887,10 @@ TEST(MultiModel, OneEntryRegistryBitEqualsLegacySession) {
         .with_map_cache_bytes(std::size_t(64) << 20)
         .with_queue_depth(stream.size() + 1)
         .with_batch_overhead(0.0005)
-        .with_devices(2)
-        .with_route(serve::RoutePolicy::kCacheAffinity);
+        .with_fleet({{rtx2080ti(), 2}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
+        .with_model("minkunet", model);
     serve::BatcherOptions b;
     b.policy = serve::BatchPolicy::kSloAware;
     b.max_batch = 3;
@@ -957,15 +899,13 @@ TEST(MultiModel, OneEntryRegistryBitEqualsLegacySession) {
     return cfg;
   };
 
-  serve::Server legacy(base_config());
-  legacy.start(model);
+  serve::Server shorthand(base_config());
+  shorthand.start();
   for (std::size_t i = 0; i < stream.size(); ++i)
-    legacy.submit(stream[i], 0.002 * static_cast<double>(i));
-  const serve::StreamReport via_legacy = legacy.drain();
+    shorthand.submit(stream[i], 0.002 * static_cast<double>(i));
+  const serve::StreamReport via_shorthand = shorthand.drain();
 
-  serve::ServerConfig registry_cfg = base_config();
-  registry_cfg.with_model("minkunet", model);
-  serve::Server registry(registry_cfg);
+  serve::Server registry(base_config());
   EXPECT_EQ(registry.model_id("minkunet"), 0);
   EXPECT_EQ(registry.model_id("missing"), -1);
   registry.start();
@@ -973,7 +913,7 @@ TEST(MultiModel, OneEntryRegistryBitEqualsLegacySession) {
     registry.submit_to(0, stream[i], 0.002 * static_cast<double>(i));
   const serve::StreamReport via_registry = registry.drain();
 
-  expect_same_report(via_legacy, via_registry);
+  expect_same_report(via_shorthand, via_registry);
   ASSERT_EQ(via_registry.stats.per_model.size(), 1u);
   EXPECT_EQ(via_registry.stats.per_model[0].model, 0);
   EXPECT_EQ(via_registry.stats.per_model[0].completed, stream.size());
@@ -1131,14 +1071,12 @@ TEST(MultiModel, RegistryAndLifecycleValidation) {
   bad_tuned.with_model("a", model);
   EXPECT_THROW(bad_tuned.with_model_tuned(3, {}), std::invalid_argument);
 
-  // Lifecycle mismatches: a registry server refuses start(model); a
-  // legacy server refuses start() and submit_to().
+  // Submissions must name a registered model.
   serve::ServerConfig registry_cfg;
   registry_cfg.with_device(rtx2080ti())
       .with_engine(torchsparse_config())
       .with_model("a", model);
   serve::Server registry(registry_cfg);
-  EXPECT_THROW(registry.start(model), std::invalid_argument);
   registry.start();
   EXPECT_THROW(registry.submit_to(1, random_tensor(100, 12, 4, 9), 0.0),
                std::invalid_argument);
@@ -1146,14 +1084,11 @@ TEST(MultiModel, RegistryAndLifecycleValidation) {
                std::invalid_argument);
   registry.stop();
 
-  serve::ServerConfig legacy_cfg;
-  legacy_cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
-  serve::Server legacy(legacy_cfg);
-  EXPECT_THROW(legacy.start(), std::logic_error);
-  legacy.start(model);
-  EXPECT_THROW(legacy.submit_to(0, random_tensor(100, 12, 4, 9), 0.0),
-               std::logic_error);
-  legacy.stop();
+  // A server with no registered model cannot open a session.
+  serve::ServerConfig empty_cfg;
+  empty_cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
+  serve::Server empty(empty_cfg);
+  EXPECT_THROW(empty.start(), std::logic_error);
 }
 
 }  // namespace

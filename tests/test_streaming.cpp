@@ -17,7 +17,6 @@
 #include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/dynamic_batcher.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
@@ -133,9 +132,9 @@ TEST(DynamicBatcher, RejectsNonMonotoneArrivals) {
   EXPECT_THROW(b.on_arrival(0.5), std::invalid_argument);
 }
 
-// --- schedule_stream: the pure modeled scheduler ----------------------
+// --- schedule_stream_dispatch: the pure modeled scheduler -------------
 
-TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
+TEST(ScheduleStreamDispatch, BackToBackWithPerBatchOverhead) {
   std::vector<serve::StreamResult> reqs(4);
   const double arrivals[] = {0.0, 0.1, 0.2, 0.3};
   for (std::size_t i = 0; i < 4; ++i) {
@@ -143,11 +142,14 @@ TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
     reqs[i].arrival_seconds = arrivals[i];
     reqs[i].service_seconds = 1.0;
   }
-  const std::vector<serve::PlannedBatch> plan = {{0, 4, 0.3}};
+  const std::vector<serve::DispatchBatch> plan = {{{0, 1, 2, 3}, 0.3}};
+  serve::DeviceGroup group(rtx2080ti(), 1, 0);
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
   std::vector<serve::StreamBatchRecord> batches;
-  const serve::StreamStats s =
-      serve::schedule_stream(reqs, plan, /*workers=*/1,
-                             /*batch_overhead_seconds=*/0.5, &batches);
+  const serve::StreamStats s = serve::schedule_stream_dispatch(
+      reqs, plan, group, *routing, /*workers_per_device=*/1,
+      /*batch_overhead_seconds=*/0.5, nullptr, &batches);
 
   // Batch starts at dispatch 0.3, pays 0.5 overhead once, then members
   // run back-to-back.
@@ -165,16 +167,6 @@ TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
   EXPECT_EQ(batches[0].lane, 0);
   EXPECT_DOUBLE_EQ(batches[0].start_seconds, 0.3);
   EXPECT_DOUBLE_EQ(batches[0].finish_seconds, 4.8);
-}
-
-TEST(ScheduleStream, RejectsPlanThatDoesNotCoverRequests) {
-  std::vector<serve::StreamResult> reqs(3);
-  EXPECT_THROW(
-      serve::schedule_stream(reqs, {{0, 2, 0.0}}, 1, 0.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      serve::schedule_stream(reqs, {{0, 2, 0.0}, {1, 2, 0.0}}, 1, 0.0),
-      std::invalid_argument);
 }
 
 // --- RequestQueue: admission control ----------------------------------
@@ -303,7 +295,7 @@ TEST(RequestQueue, CloseWakesBlockedSubmitWaitWithTypedError) {
   EXPECT_EQ(queue.depth(), 1u);  // the original admission is untouched
 }
 
-// --- BatchRunner::serve: the end-to-end streaming path ----------------
+// --- serve::Server: the end-to-end streaming path ---------------------
 
 TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
   const ModelFn model = small_unet(21);
@@ -311,21 +303,24 @@ TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
   const DeviceSpec dev = rtx2080ti();
   const EngineConfig cfg = torchsparse_config();
 
-  serve::BatchOptions opt;
-  opt.workers = 3;
-  opt.run.numerics = true;
-  serve::StreamOptions sopt;
-  sopt.batcher.max_batch = 3;
-  sopt.batcher.slo_budget_seconds = 0.005;
-
-  serve::RequestQueue queue;
+  RunOptions run;
+  run.numerics = true;
+  serve::BatcherOptions batcher;
+  batcher.max_batch = 3;
+  batcher.slo_budget_seconds = 0.005;
+  serve::ServerConfig scfg;
+  scfg.with_model("unet", model)
+      .with_device(dev)
+      .with_engine(cfg)
+      .with_workers(3)
+      .with_run(run)
+      .with_batcher(batcher);
+  serve::Server server(scfg);
+  server.start();
   std::vector<serve::StreamHandle> handles;
   for (std::size_t i = 0; i < batch.size(); ++i)
-    handles.push_back(queue.submit(batch[i], 0.001 * double(i)));
-  queue.close();
-
-  const serve::BatchRunner runner(dev, cfg, opt);
-  const serve::StreamReport report = runner.serve(model, queue, sopt);
+    handles.push_back(server.submit(batch[i], 0.001 * double(i)));
+  const serve::StreamReport report = server.drain();
 
   ASSERT_EQ(report.requests.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -352,7 +347,11 @@ TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
 }
 
 TEST(StreamingServe, AdmissionRejectionsAreCountedInStats) {
-  const ModelFn model = small_unet(22);
+  // A pre-filled queue makes the rejection deterministic: serve_stream
+  // drains a queue the caller already saturated.
+  std::vector<serve::ModelEntry> models(1);
+  models[0].name = "unet";
+  models[0].fn = small_unet(22);
   const auto batch = make_batch(5, 1100);
 
   serve::QueueOptions qopt;
@@ -363,10 +362,15 @@ TEST(StreamingServe, AdmissionRejectionsAreCountedInStats) {
   EXPECT_THROW(queue.submit(batch[4], 0.002), serve::AdmissionError);
   queue.close();
 
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(model, queue);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(2);
+  serve::SloBatchingPolicy batching(cfg.batcher);
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
+  const serve::StreamReport report =
+      serve::serve_stream(models, queue, cfg, batching, *routing);
   EXPECT_EQ(report.stats.completed, 4u);
   EXPECT_EQ(report.stats.rejected, 1u);
 }
@@ -392,19 +396,23 @@ TEST(StreamingServe, TightSloDispatchesSmallerBatchesAndMeetsBudget) {
                                   1200 + static_cast<uint64_t>(i)));
 
   auto serve_with = [&](double slo_budget) {
-    serve::RequestQueue queue;
-    for (int i = 0; i < n; ++i)
-      queue.submit(batch[static_cast<std::size_t>(i)], gap * i);
-    queue.close();
-    serve::BatchOptions opt;
+    serve::BatcherOptions batcher;
+    batcher.policy = serve::BatchPolicy::kSloAware;
+    batcher.max_batch = 6;
+    batcher.slo_budget_seconds = slo_budget;
+    serve::ServerConfig scfg;
     // Lanes >= dispatched batches, so queue wait is purely the batcher's
     // deadline wait and the SLO bound below is exact.
-    opt.workers = 12;
-    serve::StreamOptions sopt;
-    sopt.batcher.policy = serve::BatchPolicy::kSloAware;
-    sopt.batcher.max_batch = 6;
-    sopt.batcher.slo_budget_seconds = slo_budget;
-    return serve::BatchRunner(dev, cfg, opt).serve(model, queue, sopt);
+    scfg.with_model("unet", model)
+        .with_device(dev)
+        .with_engine(cfg)
+        .with_workers(12)
+        .with_batcher(batcher);
+    serve::Server server(scfg);
+    server.start();
+    for (int i = 0; i < n; ++i)
+      server.submit(batch[static_cast<std::size_t>(i)], gap * i);
+    return server.drain();
   };
 
   const serve::StreamReport tight = serve_with(1.0 * service);
@@ -442,21 +450,22 @@ TEST(StreamingServe, ProducerThreadSubmitsWhileServing) {
   const ModelFn model = small_unet(24);
   const auto batch = make_batch(8, 1300);
 
-  serve::RequestQueue queue;
+  serve::ServerConfig cfg;
+  cfg.with_model("unet", model)
+      .with_device(rtx3090())
+      .with_engine(torchsparse_config())
+      .with_workers(4);
+  serve::Server server(cfg);
+  server.start();
   // No wall-clock pacing: the modeled arrival stamps carry the stream's
   // timing, and the queue's own blocking hand-off provides the
   // producer/consumer interleaving this test is about.
   std::thread producer([&] {
     for (std::size_t i = 0; i < batch.size(); ++i)
-      queue.submit(batch[i], 0.002 * double(i));
-    queue.close();
+      server.submit(batch[i], 0.002 * double(i));
   });
-
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  const serve::BatchRunner runner(rtx3090(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(model, queue);
   producer.join();
+  const serve::StreamReport report = server.drain();
 
   EXPECT_EQ(report.stats.completed, batch.size());
   EXPECT_EQ(report.stats.rejected, 0u);
@@ -466,13 +475,15 @@ TEST(StreamingServe, ProducerThreadSubmitsWhileServing) {
   EXPECT_LE(report.stats.e2e_p50_seconds, report.stats.e2e_p99_seconds);
 }
 
-TEST(StreamingServe, EmptyClosedQueueYieldsEmptyReport) {
-  serve::RequestQueue queue;
-  queue.close();
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(small_unet(25), queue);
+TEST(StreamingServe, EmptySessionYieldsEmptyReport) {
+  serve::ServerConfig cfg;
+  cfg.with_model("unet", small_unet(25))
+      .with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(2);
+  serve::Server server(cfg);
+  server.start();
+  const serve::StreamReport report = server.drain();
   EXPECT_TRUE(report.requests.empty());
   EXPECT_TRUE(report.batches.empty());
   EXPECT_EQ(report.stats.completed, 0u);
@@ -665,10 +676,10 @@ serve::StreamReport serve_priority_mix(const ModelFn& model,
                                        serve::Priority minority,
                                        double aging_seconds = 0) {
   serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti())
+  cfg.with_model("unet", model)
+      .with_fleet({{rtx2080ti(), devices}})
       .with_engine(torchsparse_config())
       .with_workers(workers)
-      .with_devices(devices)
       .with_queue_depth(in.size() + 1);
   serve::BatcherOptions b;
   b.policy = serve::BatchPolicy::kSloAware;
@@ -681,7 +692,7 @@ serve::StreamReport serve_priority_mix(const ModelFn& model,
     cfg.with_priority(p);
   }
   serve::Server server(cfg);
-  server.start(model);
+  server.start();
   for (std::size_t i = 0; i < in.size(); ++i)
     server.submit(in[i], gap * static_cast<double>(i),
                   i % 4 == 3 ? minority : majority);
@@ -834,8 +845,9 @@ TEST(PerModelStats, InvariantAcrossWorkerAndDeviceCounts) {
         .with_workers(workers)
         .with_map_cache_bytes(std::size_t(64) << 20)
         .with_queue_depth(batch.size() + 1)
-        .with_devices(devices)
-        .with_route(serve::RoutePolicy::kCacheAffinity)
+        .with_fleet({{rtx2080ti(), devices}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
         .with_model("seg", seg)
         .with_model("det", det);
     serve::Server server(cfg);
@@ -909,7 +921,8 @@ TEST(PerModelStats, AdmissionRejectionsAreSplitByModel) {
   cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
   serve::SloBatchingPolicy batching(cfg.batcher, cfg.priority,
                                     serve::model_batching_infos(models));
-  const auto routing = serve::make_routing_policy(cfg.shard.route);
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
   const serve::StreamReport report =
       serve::serve_stream(models, queue, cfg, batching, *routing);
 
