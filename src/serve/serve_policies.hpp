@@ -41,8 +41,8 @@ namespace ts::serve {
 
 /// One drained request as the batching policy sees it: its scheduling
 /// id (index into the drained stream), modeled arrival stamp, priority
-/// class, and (when the policy asked for it via wants_digests) the
-/// request's input content digest — the duplicate-grouping key.
+/// class, and the request's model-salted input content digest — the
+/// duplicate-grouping key.
 struct ArrivalInfo {
   std::size_t id = 0;
   double arrival_seconds = 0;
@@ -50,9 +50,10 @@ struct ArrivalInfo {
   /// Registry index of the request's target model (0 on single-model
   /// streams). Validated against the policy's model table on feed.
   int model = 0;
-  /// input_content_digest of the request's tensor; meaningful only when
-  /// has_digest is set (the serving loop computes digests only for
-  /// policies that want them).
+  /// input_content_digest of the request's tensor, salted into its
+  /// model's cache namespace; meaningful only when has_digest is set.
+  /// The serving loop always sets it (the same digest keys its
+  /// measurement coalescing); hand-built arrivals may leave it unset.
   MapCacheKey digest;
   bool has_digest = false;
 };
@@ -94,11 +95,6 @@ class BatchingPolicy {
 
   /// Requests currently held back waiting for a dispatch trigger.
   virtual std::size_t pending() const = 0;
-
-  /// True when the policy groups on input content digests; the serving
-  /// loop then computes ArrivalInfo::digest for every drained request
-  /// (an O(points) hash it skips for digest-blind policies).
-  virtual bool wants_digests() const { return false; }
 
   virtual const char* name() const = 0;
 };
@@ -281,7 +277,6 @@ class DedupBatchingPolicy final : public SloBatchingPolicy {
                                PriorityOptions priority = {},
                                std::vector<ModelBatchingInfo> models = {});
 
-  bool wants_digests() const override { return true; }
   const char* name() const override { return "slo-dedup"; }
 
  protected:

@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace ts::serve {
@@ -902,15 +903,44 @@ StreamStats schedule_stream_dispatch(
 
 namespace {
 
+/// What makes two requests of one session measure identically: the
+/// model-salted input content digest (coordinates + stride, the same
+/// key dedup batching groups on) plus the feature-channel count, so a
+/// malformed duplicate is measured — and fails — on its own.
+struct MeasureKey {
+  MapCacheKey digest;
+  std::size_t channels = 0;
+  friend bool operator==(const MeasureKey&, const MeasureKey&) = default;
+};
+
+struct MeasureKeyHash {
+  std::size_t operator()(const MeasureKey& k) const {
+    return MapCacheKeyHash{}(k.digest) ^ (k.channels * 0xff51afd7ed558ccdull);
+  }
+};
+
+/// One distinct measurement of a session. The first request with a key
+/// (the leader) is measured; every later one (a follower) adopts the
+/// leader's cold timeline and cache events instead. The timeline is
+/// kept here because the leader's own copy is rewritten by its cache
+/// replay once its batch is placed.
+struct Measurement {
+  std::size_t leader = 0;  // drained-order scheduling id
+  bool published = false;
+  Timeline timeline;                   // cold, as measured
+  std::vector<std::size_t> followers;  // waiting for the publish
+};
+
 /// One measurement work item. Carries stable pointers (deque push_back
-/// never moves existing elements), so workers never touch the growing
-/// containers themselves; a worker owns its item's pointees exclusively
-/// until it publishes `measured` under StreamShared::mu.
+/// and unordered_map insertion never move existing elements), so workers
+/// never touch the growing containers themselves; a worker owns its
+/// item's input, result and events exclusively until it publishes
+/// `measured` under StreamShared::mu, and touches `memo` only under it.
 struct WorkItem {
-  std::size_t index = 0;  // drained-order scheduling id
   SparseTensor* input = nullptr;  // mutable: borrow_input moves it out
   StreamResult* result = nullptr;
   std::vector<MapCacheEvent>* events = nullptr;
+  Measurement* memo = nullptr;
 };
 
 /// Coordinator/worker shared state of one serving session. Every
@@ -924,8 +954,11 @@ struct StreamShared {
   /// Wakes workers on new work, producer completion, and failure.
   CondVar cv;
   std::deque<StreamResult> results TS_GUARDED_BY(mu);  // drained order
-  std::deque<SparseTensor> inputs TS_GUARDED_BY(mu);   // parallel: results
+  std::deque<SparseTensor> inputs TS_GUARDED_BY(mu);   // one per leader
   std::deque<std::vector<MapCacheEvent>> events TS_GUARDED_BY(mu);
+  /// Session-scoped measurement coalescing, keyed per distinct request.
+  std::unordered_map<MeasureKey, Measurement, MeasureKeyHash> memo
+      TS_GUARDED_BY(mu);
   std::deque<std::promise<StreamResult>> promises TS_GUARDED_BY(mu);
   std::deque<char> fulfilled TS_GUARDED_BY(mu);  // parallel to promises
   std::deque<char> measured TS_GUARDED_BY(mu);   // parallel to results
@@ -977,6 +1010,28 @@ void fail_locked(StreamShared& st, std::exception_ptr error)
   if (!st.first_error) st.first_error = error;
   st.work.clear();
   st.producer_done = true;
+}
+
+/// Marks follower `f` measured with its leader's published measurement:
+/// the same cold timeline, service time and cache events a measurement
+/// of its own would have produced.
+void adopt_measurement_locked(StreamShared& st, const Measurement& m,
+                              std::size_t f) TS_REQUIRES(st.mu) {
+  st.results[f].timeline = m.timeline;
+  st.results[f].service_seconds = m.timeline.total_seconds();
+  if (!st.events.empty()) st.events[f] = st.events[m.leader];
+  st.measured[f] = 1;
+}
+
+/// Publishes a leader's measurement to its memo entry and to every
+/// follower already waiting on it.
+void publish_measurement_locked(StreamShared& st, Measurement& m,
+                                const Timeline& t) TS_REQUIRES(st.mu) {
+  m.timeline = t;
+  m.published = true;
+  st.measured[m.leader] = 1;
+  for (const std::size_t f : m.followers) adopt_measurement_locked(st, m, f);
+  m.followers = {};
 }
 
 /// Incremental placement: batches are placed strictly in dispatch
@@ -1099,9 +1154,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
                       cached, injector, SharedOnFinal{&st},
                       static_cast<int>(models.size()));
 
-  // Batch membership only shapes the modeled schedule, so measurement
-  // starts the moment a request is drained — no need to wait for its
-  // batch.
+  // Batch membership only shapes the modeled schedule, so a leader's
+  // measurement starts the moment it is drained — no need to wait for
+  // its batch. Followers are never queued here (see the coordinator).
   auto worker = [&](int device_index) {
     // Each device shard contributes its own measurement pool; a worker
     // carries its pool's identity in its (reusable) context as host-side
@@ -1170,7 +1225,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         item.result->service_seconds = t.total_seconds();
         {
           MutexLock lock(st.mu);
-          st.measured[item.index] = 1;
+          publish_measurement_locked(st, *item.memo, t);
           try_place_locked(st, placer, queue);
         }
       } catch (...) {
@@ -1205,12 +1260,26 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   for (int t = 0; t < pool; ++t) threads.emplace_back(worker, t / workers);
 
   // Coordinator (this thread): drain the queue in arrival order, feed
-  // the batching policy, and hand each request to the measurement pool.
-  // After a failure the queue is already closed; keep draining it so
-  // every outstanding promise can receive the error.
+  // the batching policy, and hand each distinct request to the
+  // measurement pool. After a failure the queue is already closed; keep
+  // draining it so every outstanding promise can receive the error.
   PendingRequest pr;
   while (queue.wait_pop(pr)) {
-    bool errored = false;
+    // The measurement key, hashed before taking the lock: an O(points)
+    // content hash salted into the model's namespace, so neither dedup
+    // nor coalescing can ever join identical inputs across tenants
+    // (model 0's namespace is 0 — its digest is untouched). A request
+    // outside the registry fails the stream below before its key is
+    // used.
+    const bool registered = static_cast<std::size_t>(pr.model) < models.size();
+    const MeasureKey key{
+        registered
+            ? salt_cache_key(
+                  input_content_digest(pr.input.coords(), pr.input.stride()),
+                  models[static_cast<std::size_t>(pr.model)].cache_namespace)
+            : MapCacheKey{},
+        pr.input.channels()};
+    bool errored = false, queued = false;
     {
       MutexLock lock(st.mu);
       if (st.first_error) {
@@ -1224,7 +1293,6 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
       st.results.back().arrival_seconds = pr.arrival_seconds;
       st.results.back().priority = pr.priority;
       st.results.back().model = pr.model;
-      st.inputs.push_back(std::move(pr.input));
       st.promises.push_back(std::move(pr.promise));
       st.fulfilled.push_back(0);
       st.measured.push_back(0);
@@ -1235,30 +1303,32 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         // session's to enforce. Throwing here fails the stream through
         // the established path — every outstanding handle receives the
         // error.
-        if (static_cast<std::size_t>(pr.model) >= models.size())
+        if (!registered)
           throw std::invalid_argument(
               "serve_stream: request targets model " +
               std::to_string(pr.model) + " but the registry has " +
               std::to_string(models.size()) + " model(s)");
-        ArrivalInfo info{idx, pr.arrival_seconds, pr.priority, pr.model,
-                         {}, false};
-        if (batching.wants_digests()) {
-          // O(points) content hash, computed only for digest-aware
-          // policies, from the drained tensor before any worker can
-          // borrow it. Salted into the model's namespace so dedup can
-          // never coalesce identical inputs across tenants (model 0's
-          // namespace is 0 — its digest is untouched).
-          info.digest = salt_cache_key(
-              input_content_digest(st.inputs.back().coords(),
-                                   st.inputs.back().stride()),
-              models[static_cast<std::size_t>(pr.model)].cache_namespace);
-          info.has_digest = true;
-        }
-        std::vector<DispatchBatch> closed = batching.on_arrival(info);
+        std::vector<DispatchBatch> closed = batching.on_arrival(
+            ArrivalInfo{idx, pr.arrival_seconds, pr.priority, pr.model,
+                        key.digest, true});
         for (DispatchBatch& b : closed)
           append_batch_locked(st, std::move(b));
-        st.work.push_back({idx, &st.inputs.back(), &st.results.back(),
-                           cached ? &st.events.back() : nullptr});
+        // The first request with a key leads and is measured; a later
+        // one follows: it adopts the leader's measurement (now, or when
+        // the leader publishes) and is never queued for a worker.
+        const auto [it, leader] = st.memo.try_emplace(key);
+        Measurement& m = it->second;
+        if (leader) {
+          m.leader = idx;
+          st.inputs.push_back(std::move(pr.input));
+          st.work.push_back({&st.inputs.back(), &st.results.back(),
+                             cached ? &st.events.back() : nullptr, &m});
+          queued = true;
+        } else if (m.published) {
+          adopt_measurement_locked(st, m, idx);
+        } else {
+          m.followers.push_back(idx);
+        }
         try_place_locked(st, placer, queue);
       } catch (...) {
         fail_locked(st, std::current_exception());
@@ -1266,11 +1336,14 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         errored = true;
       }
     }
-    // One new work item per iteration — wake one worker; a failure set
-    // producer_done, so every worker must see it.
+    // A follower's tensor is never read: release it now rather than
+    // holding it until the next request is drained.
+    if (!queued) pr.input = SparseTensor();
+    // A new work item wakes one worker; a failure set producer_done, so
+    // every worker must see it.
     if (errored)
       st.cv.notify_all();
-    else
+    else if (queued)
       st.cv.notify_one();
   }
   {

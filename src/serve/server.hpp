@@ -258,10 +258,13 @@ StreamStats schedule_stream_dispatch(
 /// policies — the engine room a Server runs on its background thread,
 /// exposed for callers that need to pre-fill the queue (deterministic
 /// admission scenarios). Drains `queue` until closed and empty,
-/// measures every request on the worker pool — restamping each worker
-/// context per request with the target entry's ModelFn, tuned
-/// parameters, and cache namespace, so two models never alias each
-/// other's kernel-map entries — forms batches with `batching`, and
+/// measures each distinct request once on the worker pool — restamping
+/// each worker context per request with the target entry's ModelFn,
+/// tuned parameters, and cache namespace, so two models never alias
+/// each other's kernel-map entries; a repeat of an earlier request (same
+/// model, input content digest and channel count) adopts that
+/// request's measurement instead of running again — forms batches with
+/// `batching`, and
 /// places them incrementally: each batch is routed, cache-accounted,
 /// and laned as soon as all earlier batches are placed and its members
 /// measured, fulfilling the members' StreamHandles at that moment.

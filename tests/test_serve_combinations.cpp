@@ -9,7 +9,13 @@
 //  * every handle resolves — with a value or with a typed ServeError;
 //  * per-model and per-class counters sum to the stream totals;
 //  * per-request device, attempts and error, and the modeled cache hits,
-//    are identical at 1 and 3 workers.
+//    are identical at 1 and 3 workers;
+//  * every request's timeline is bit-equal at 1 and 3 workers, and is
+//    its (model, input)'s serial run_model timeline with a warm-hit
+//    substitution for exactly the cache events that hit. The stream
+//    submits duplicate pairs, so measurement coalescing joins each pair
+//    in every one-model combination; two-model combinations split each
+//    pair across tenants, which coalescing must never join.
 //
 // Written against the Server entry point only (with_model + with_fleet +
 // with_routing_policy + start/submit_to/drain), so it guards any
@@ -22,7 +28,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/kernel_map_cache.hpp"
 #include "engines/presets.hpp"
+#include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
 #include "serve/fault.hpp"
@@ -45,6 +53,12 @@ SparseTensor random_tensor(int n, int extent, uint64_t seed) {
   }
   Matrix feats(static_cast<std::size_t>(n), 4);
   return SparseTensor(std::move(coords), std::move(feats));
+}
+
+/// Request i's input: duplicate pairs (u0 u0 u1 u1 ...) so dedup, the
+/// cache and measurement coalescing all engage.
+SparseTensor combo_input(int i) {
+  return random_tensor(60, 10, 500 + static_cast<uint64_t>(i / 2));
 }
 
 ModelFn tiny_net(uint64_t seed) {
@@ -139,9 +153,7 @@ Session serve_combo(const Combo& combo, int workers) {
   std::vector<serve::StreamHandle> handles;
   server.start();
   for (int i = 0; i < kRequests; ++i) {
-    // Duplicate pairs (u0 u0 u1 u1 ...) so dedup and the cache engage.
-    SparseTensor x =
-        random_tensor(60, 10, 500 + static_cast<uint64_t>(i / 2));
+    SparseTensor x = combo_input(i);
     const int model = i % models;
     const serve::Priority cls =
         priorities
@@ -228,6 +240,87 @@ void expect_accounting(const Session& s, const Combo& combo) {
   }
 }
 
+bool bit_equal(const Timeline& a, const Timeline& b) {
+  for (std::size_t s = 0; s < kNumStages; ++s)
+    if (a.stage_seconds(static_cast<Stage>(s)) !=
+        b.stage_seconds(static_cast<Stage>(s)))
+      return false;
+  return a.dram_bytes() == b.dram_bytes() &&
+         a.kernel_launches() == b.kernel_launches() &&
+         a.flops() == b.flops();
+}
+
+/// A serial measurement of one (model, input) on the reference device:
+/// run_model's timeline, plus the kernel-map cache events a deferred-
+/// accounting pass over the same input records.
+struct SerialRun {
+  Timeline timeline;
+  std::vector<MapCacheEvent> events;
+};
+
+SerialRun serial_run(const ModelFn& fn, const SparseTensor& x,
+                     const DeviceSpec& dev) {
+  SerialRun run;
+  run.timeline = run_model(fn, x, dev, torchsparse_config());
+  RunOptions opt;
+  opt.map_cache = std::make_shared<KernelMapCache>(std::size_t(16) << 20);
+  ExecContext ctx = make_run_context(dev, torchsparse_config(), opt);
+  ctx.cache_events = &run.events;
+  // Deferred accounting charges every lookup cold: the same timeline.
+  EXPECT_TRUE(bit_equal(run_in_context(fn, x, ctx), run.timeline));
+  return run;
+}
+
+/// How many of `ref`'s cache events hit for `served`: the size of the
+/// event subset whose warm-hit substitution, applied in event order to
+/// the serial timeline, reproduces `served` bit for bit (-1: none does).
+int hits_explaining(const Timeline& served, const SerialRun& ref) {
+  const std::size_t n = ref.events.size();
+  for (std::size_t mask = 0; mask < (std::size_t(1) << n); ++mask) {
+    Timeline t = ref.timeline;
+    int hits = 0;
+    for (std::size_t e = 0; e < n; ++e)
+      if (mask >> e & 1) {
+        apply_map_cache_hit(ref.events[e], t);
+        ++hits;
+      }
+    if (bit_equal(t, served)) return hits;
+  }
+  return -1;
+}
+
+/// Every served timeline is its request's serial timeline plus warm-hit
+/// substitutions, and the substitutions add up to the modeled hits.
+void expect_serial_timelines(const serve::StreamReport& report,
+                             const Combo& combo) {
+  const int models = std::get<0>(combo);
+  const DeviceSpec reference = std::get<3>(combo) ? gtx1080ti() : rtx2080ti();
+  std::vector<ModelFn> fns;
+  for (int m = 0; m < models; ++m)
+    fns.push_back(tiny_net(100 + static_cast<uint64_t>(m)));
+  std::size_t hits = 0;
+  for (const serve::StreamResult& r : report.requests) {
+    SCOPED_TRACE("request " + std::to_string(r.id));
+    const SparseTensor x = combo_input(static_cast<int>(r.id));
+    ASSERT_EQ(r.model, static_cast<int>(r.id) % models);
+    const SerialRun ref =
+        serial_run(fns[static_cast<std::size_t>(r.model)], x, reference);
+    const int h = hits_explaining(r.timeline, ref);
+    ASSERT_GE(h, 0) << "timeline is not the serial run_model timeline";
+    hits += static_cast<std::size_t>(h);
+  }
+  std::size_t device_hits = 0;
+  for (const serve::DeviceShardStats& d : report.stats.per_device)
+    device_hits += d.map_cache.hits;
+  EXPECT_EQ(hits, device_hits);
+  // One model: each pair's second visit is a follower and hits. Two
+  // models split every pair across tenants, so nothing coalesces or hits.
+  if (models == 1)
+    EXPECT_GT(hits, 0u);
+  else
+    EXPECT_EQ(hits, 0u);
+}
+
 class ServeCombinations : public testing::TestWithParam<Combo> {};
 
 TEST_P(ServeCombinations, AccountingHoldsAndIsWorkerInvariant) {
@@ -242,6 +335,10 @@ TEST_P(ServeCombinations, AccountingHoldsAndIsWorkerInvariant) {
     SCOPED_TRACE("workers=3");
     expect_accounting(w3, combo);
   }
+  {
+    SCOPED_TRACE("serial timelines");
+    expect_serial_timelines(w1.report, combo);
+  }
   const serve::StreamReport& a = w1.report;
   const serve::StreamReport& b = w3.report;
   ASSERT_EQ(a.requests.size(), b.requests.size());
@@ -250,6 +347,10 @@ TEST_P(ServeCombinations, AccountingHoldsAndIsWorkerInvariant) {
     EXPECT_EQ(a.requests[i].device, b.requests[i].device) << i;
     EXPECT_EQ(a.requests[i].attempts, b.requests[i].attempts) << i;
     EXPECT_EQ(a.requests[i].error, b.requests[i].error) << i;
+    EXPECT_TRUE(bit_equal(a.requests[i].timeline, b.requests[i].timeline))
+        << i;
+    EXPECT_EQ(a.requests[i].service_seconds, b.requests[i].service_seconds)
+        << i;
   }
   EXPECT_EQ(a.stats.completed, b.stats.completed);
   EXPECT_EQ(a.stats.failed, b.stats.failed);

@@ -1,7 +1,8 @@
 // serve::Server session API: lifecycle, worker/device invariance,
 // incremental StreamHandle fulfillment, pluggable routing (heterogeneous
 // service-estimate hook), warm-context hand-off across sessions, warm
-// starts, and the multi-model registry.
+// starts, the multi-model registry, and per-session measurement
+// coalescing of duplicate requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1089,6 +1090,227 @@ TEST(MultiModel, RegistryAndLifecycleValidation) {
   empty_cfg.with_device(rtx2080ti()).with_engine(torchsparse_config());
   serve::Server empty(empty_cfg);
   EXPECT_THROW(empty.start(), std::logic_error);
+}
+
+// --- Measurement coalescing -------------------------------------------
+
+/// Wraps `fn` so every measurement of the model bumps `calls`.
+ModelFn counted(ModelFn fn, std::shared_ptr<std::atomic<int>> calls) {
+  return [fn = std::move(fn), calls](const SparseTensor& x, ExecContext& ctx) {
+    ++*calls;
+    fn(x, ctx);
+  };
+}
+
+/// A second architecture (wider channels, no decoder) whose timelines
+/// differ from small_unet's on the same input.
+ModelFn wide_net(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto net = std::make_shared<spnn::Sequential>();
+  net->emplace<spnn::ConvBlock>(4, 32, 3, 1, false, rng);
+  net->emplace<spnn::ConvBlock>(32, 64, 2, 2, false, rng);
+  return [net](const SparseTensor& x, ExecContext& ctx) {
+    net->forward(x, ctx);
+  };
+}
+
+void expect_bit_equal_timeline(const Timeline& a, const Timeline& b) {
+  for (std::size_t s = 0; s < kNumStages; ++s) {
+    const Stage st = static_cast<Stage>(s);
+    EXPECT_EQ(a.stage_seconds(st), b.stage_seconds(st)) << to_string(st);
+  }
+  EXPECT_EQ(a.dram_bytes(), b.dram_bytes());
+  EXPECT_EQ(a.kernel_launches(), b.kernel_launches());
+  EXPECT_EQ(a.flops(), b.flops());
+}
+
+/// A coherent drive with revisits: four distinct frames visited twelve
+/// times. `order[i]` is the frame request i replays.
+struct RevisitStream {
+  std::vector<SparseTensor> frames;
+  std::vector<std::size_t> order;
+};
+
+RevisitStream revisit_stream(uint64_t seed) {
+  RevisitStream s;
+  for (int k = 0; k < 4; ++k)
+    s.frames.push_back(
+        random_tensor(120 + 10 * k, 12, 4, seed + static_cast<uint64_t>(k)));
+  s.order = {0, 1, 0, 2, 1, 0, 3, 2, 3, 1, 0, 2};
+  return s;
+}
+
+serve::StreamReport serve_revisits(const RevisitStream& s,
+                                   const serve::ServerConfig& cfg) {
+  serve::Server server(cfg);
+  server.start();
+  for (std::size_t i = 0; i < s.order.size(); ++i)
+    server.submit(s.frames[s.order[i]], 0.001 * static_cast<double>(i));
+  return server.drain();
+}
+
+TEST(MeasurementCoalescing, RevisitsMeasureOncePerDistinctInput) {
+  const ModelFn model = small_unet(60);
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const RevisitStream s = revisit_stream(6000);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(2)
+      .with_queue_depth(s.order.size() + 1)
+      .with_model("unet", counted(model, calls));
+  const serve::StreamReport report = serve_revisits(s, cfg);
+  EXPECT_EQ(calls->load(), static_cast<int>(s.frames.size()));
+
+  // Every request — leader or follower — carries exactly the timeline
+  // a serial run of its own input produces.
+  ASSERT_EQ(report.requests.size(), s.order.size());
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const Timeline serial = run_model(model, s.frames[s.order[i]],
+                                      rtx2080ti(), torchsparse_config());
+    EXPECT_EQ(report.requests[i].id, i);
+    expect_bit_equal_timeline(report.requests[i].timeline, serial);
+    EXPECT_EQ(report.requests[i].service_seconds, serial.total_seconds());
+  }
+}
+
+TEST(MeasurementCoalescing, ResultsIdenticalAtOneAndThreeWorkers) {
+  const RevisitStream s = revisit_stream(6100);
+  auto serve_with = [&](int workers, std::shared_ptr<std::atomic<int>> calls) {
+    serve::ServerConfig cfg;
+    cfg.with_engine(torchsparse_config())
+        .with_workers(workers)
+        .with_queue_depth(s.order.size() + 1)
+        .with_map_cache_bytes(std::size_t(64) << 20)
+        .with_dedup_batching()
+        .with_fleet({{rtx2080ti(), 2}})
+        .with_routing_policy(
+            serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
+        .with_model("unet", counted(small_unet(61), std::move(calls)));
+    return serve_revisits(s, cfg);
+  };
+  auto calls1 = std::make_shared<std::atomic<int>>(0);
+  auto calls3 = std::make_shared<std::atomic<int>>(0);
+  const serve::StreamReport w1 = serve_with(1, calls1);
+  const serve::StreamReport w3 = serve_with(3, calls3);
+  EXPECT_EQ(calls1->load(), static_cast<int>(s.frames.size()));
+  EXPECT_EQ(calls3->load(), static_cast<int>(s.frames.size()));
+  // Worker count sets the lanes per device, so only the schedule's
+  // lane-level fields may differ; every measured and cache-replayed
+  // quantity is worker-invariant.
+  ASSERT_EQ(w1.requests.size(), w3.requests.size());
+  for (std::size_t i = 0; i < w1.requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    expect_bit_equal_timeline(w1.requests[i].timeline,
+                              w3.requests[i].timeline);
+    EXPECT_EQ(w1.requests[i].service_seconds, w3.requests[i].service_seconds);
+    EXPECT_EQ(w1.requests[i].device, w3.requests[i].device);
+    EXPECT_EQ(w1.requests[i].batch_id, w3.requests[i].batch_id);
+  }
+  expect_bit_equal_timeline(w1.stats.aggregate, w3.stats.aggregate);
+  EXPECT_EQ(w1.stats.map_cache.lookups, w3.stats.map_cache.lookups);
+  EXPECT_EQ(w1.stats.map_cache.hits, w3.stats.map_cache.hits);
+  EXPECT_EQ(w1.stats.map_cache.evictions, w3.stats.map_cache.evictions);
+  // Followers still replay their own cache events: the revisits hit.
+  EXPECT_GT(w1.stats.map_cache.hits, 0u);
+}
+
+TEST(MeasurementCoalescing, IdenticalInputsUnderTwoModelsAreNeverShared) {
+  const ModelFn unet = small_unet(62);
+  const ModelFn wide = wide_net(63);
+  auto unet_calls = std::make_shared<std::atomic<int>>(0);
+  auto wide_calls = std::make_shared<std::atomic<int>>(0);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(2)
+      .with_model("unet", counted(unet, unet_calls))
+      .with_model("wide", counted(wide, wide_calls));
+  serve::Server server(cfg);
+  const SparseTensor x = random_tensor(150, 12, 4, 6200);
+  server.start();
+  for (int i = 0; i < 4; ++i)
+    server.submit_to(i % 2, x, 0.001 * static_cast<double>(i));
+  const serve::StreamReport report = server.drain();
+  EXPECT_EQ(unet_calls->load(), 1);
+  EXPECT_EQ(wide_calls->load(), 1);
+
+  const Timeline serial[2] = {
+      run_model(unet, x, rtx2080ti(), torchsparse_config()),
+      run_model(wide, x, rtx2080ti(), torchsparse_config())};
+  ASSERT_NE(serial[0].total_seconds(), serial[1].total_seconds());
+  ASSERT_EQ(report.requests.size(), 4u);
+  for (const serve::StreamResult& r : report.requests) {
+    SCOPED_TRACE("request " + std::to_string(r.id));
+    EXPECT_EQ(r.model, static_cast<int>(r.id % 2));
+    expect_bit_equal_timeline(r.timeline,
+                              serial[static_cast<std::size_t>(r.model)]);
+  }
+}
+
+TEST(MeasurementCoalescing, WrongChannelDuplicateStillFailsTheStream) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_model("unet", counted(small_unet(64), calls));
+  serve::Server server(cfg);
+  // Same seed, same coordinates — only the channel count differs, so
+  // the malformed request cannot ride on the good one's measurement.
+  const SparseTensor good = random_tensor(100, 12, 4, 6400);
+  const SparseTensor bad = random_tensor(100, 12, 3, 6400);
+  ASSERT_EQ(good.coords(), bad.coords());
+  server.start();
+  server.submit(good, 0.0);
+  serve::StreamHandle h = server.submit(bad, 0.001);
+  EXPECT_THROW(server.drain(), std::invalid_argument);
+  EXPECT_THROW(h.get(), std::invalid_argument);
+  EXPECT_EQ(calls->load(), 2);  // one worker: good first, then bad
+}
+
+TEST(MeasurementCoalescing, FollowerOfAnAlreadyMeasuredLeaderResolves) {
+  const ModelFn model = small_unet(65);
+  const SparseTensor x = random_tensor(140, 12, 4, 6500);
+  const Timeline cold =
+      run_model(model, x, rtx2080ti(), torchsparse_config());
+  // Warm the session from a snapshot of x's own maps, so the leader's
+  // cache replay rewrites its timeline the moment its batch is placed:
+  // the late follower must adopt the cold measurement, not that.
+  RunOptions warm;
+  warm.map_cache = std::make_shared<KernelMapCache>(std::size_t(64) << 20);
+  run_model(model, x, rtx2080ti(), torchsparse_config(), warm);
+
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(2)
+      .with_map_cache_bytes(std::size_t(64) << 20)
+      .with_warm_snapshot(std::make_shared<const MapCacheSnapshot>(
+          warm.map_cache->export_snapshot()))
+      .with_model("unet", counted(model, calls));
+  serve::BatcherOptions b;
+  b.policy = serve::BatchPolicy::kImmediate;
+  cfg.with_batcher(b);
+  serve::Server server(cfg);
+  server.start();
+  // The leader's handle resolves only once it is measured and placed,
+  // so the duplicate submitted afterwards finds a published memo entry.
+  const serve::StreamResult leader = server.submit(x, 0.0).get();
+  serve::StreamHandle late = server.submit(x, 0.001);
+  const serve::StreamResult follower = late.get();
+  EXPECT_TRUE(server.running());
+  EXPECT_EQ(calls->load(), 1);
+  EXPECT_EQ(follower.id, 1u);
+  EXPECT_EQ(follower.batch_id, 1u);
+  // Both replay the same warm hits onto the same cold measurement.
+  EXPECT_LT(leader.timeline.stage_seconds(Stage::kMapping),
+            cold.stage_seconds(Stage::kMapping));
+  expect_bit_equal_timeline(follower.timeline, leader.timeline);
+  const serve::StreamReport report = server.drain();
+  EXPECT_EQ(report.stats.completed, 2u);
+  EXPECT_EQ(report.stats.map_cache.hits, report.stats.map_cache.lookups);
 }
 
 }  // namespace
