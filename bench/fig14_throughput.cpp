@@ -3,9 +3,11 @@
 // preset on the MinkUNet segmentation workload.
 //
 // Per-request timelines are independent of how the batch is scheduled, so
-// each engine measures its 16 scans once (through BatchRunner's worker
-// pool) and the (batch, workers) grid is then swept over deterministic
-// earliest-available-worker schedules of those timelines. Sanity anchor
+// each engine measures its 16 scans once — one serve::Server session with
+// immediate dispatch and every arrival at 0 — and the (batch, workers)
+// grid is then swept with schedule_stream_dispatch over one-member batches
+// dispatched at 0 on one least-loaded device, i.e. deterministic
+// earliest-available-lane schedules of those timelines. Sanity anchor
 // checked at the end: on the MinkUNet preset, 4 workers must deliver
 // > 1.5x the throughput of 1 worker.
 #include <algorithm>
@@ -17,7 +19,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
 
 using namespace ts;
@@ -52,18 +54,29 @@ int main() {
   const std::vector<int> batch_sizes = {1, 4, 8, 16};
   const std::vector<int> worker_counts = {1, 2, 4, 8};
   serve::TunedParamStore store;
+  serve::BatcherOptions immediate;
+  immediate.policy = serve::BatchPolicy::kImmediate;
+  const auto least_loaded =
+      serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
   const bench::WallTimer total_wall;
 
   double mink_fps_w1 = 0, mink_fps_w4 = 0;
   for (const EngineConfig& cfg : paper_engines()) {
-    serve::BatchOptions opt;
-    opt.workers = 8;  // thread pool for measurement wall time only
+    RunOptions run;
     if (cfg.grouping == GroupingStrategy::kAdaptive)
-      opt.run.tuned =
-          store.get_or_tune(serve::tuned_key(w.name, dev, cfg), w.model,
-                            w.tune_samples, dev, cfg);
-    const serve::BatchRunner runner(dev, cfg, opt);
-    const serve::BatchReport measured = runner.run(w.model, scans);
+      run.tuned = store.get_or_tune(serve::tuned_key(w.name, dev, cfg),
+                                    w.model, w.tune_samples, dev, cfg);
+    serve::ServerConfig scfg;
+    scfg.with_model(w.name, w.model)
+        .with_device(dev)
+        .with_engine(cfg)
+        .with_workers(8)  // measurement wall time only
+        .with_run(run)
+        .with_batcher(immediate);
+    serve::Server server(scfg);
+    server.start();
+    for (const SparseTensor& scan : scans) server.submit(scan, 0.0);
+    const serve::StreamReport measured = server.drain();
 
     std::printf("\n=== %s on %s ===\n", cfg.name.c_str(), dev.name.c_str());
     std::printf("%-8s", "batch");
@@ -72,13 +85,18 @@ int main() {
     std::printf("\n");
 
     for (int batch : batch_sizes) {
-      std::vector<serve::RequestResult> subset(
-          measured.requests.begin(), measured.requests.begin() + batch);
+      std::vector<serve::DispatchBatch> plan;
+      for (int i = 0; i < batch; ++i)
+        plan.push_back({{static_cast<std::size_t>(i)}, 0.0});
       std::printf("%-8d", batch);
       for (int workers : worker_counts) {
-        const serve::BatchStats s = serve::schedule_stats(subset, workers);
+        std::vector<serve::StreamResult> subset(
+            measured.requests.begin(), measured.requests.begin() + batch);
+        serve::DeviceGroup group(dev, 1, 0);
+        const serve::StreamStats s = serve::schedule_stream_dispatch(
+            subset, plan, group, *least_loaded, workers, 0.0);
         std::printf("   %8.1f (%5.1f)", s.throughput_fps,
-                    s.latency_p99_seconds * 1e3);
+                    s.e2e_p99_seconds * 1e3);
         if (cfg.name == "TorchSparse" && batch == 16) {
           if (workers == 1) mink_fps_w1 = s.throughput_fps;
           if (workers == 4) mink_fps_w4 = s.throughput_fps;

@@ -3,8 +3,9 @@
 // budget x offered load x dispatch overhead on the MinkUNet segmentation
 // workload.
 //
-// Per-request service times are measured once through the worker pool;
-// every (policy, SLO, load, overhead) cell is then a deterministic
+// Per-request service times are measured once, in one serve::Server
+// session (immediate dispatch, every arrival at 0); every (policy, SLO,
+// load, overhead) cell is then a deterministic
 // modeled schedule of those same timelines (SloBatchingPolicy::plan +
 // schedule_stream_dispatch), exactly how bench/fig14 reuses one measurement
 // across schedule configurations. The fixed per-dispatch overhead models
@@ -34,7 +35,6 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
@@ -95,16 +95,26 @@ int main() {
 
   // Measure every scan's modeled service time once (tuned engine).
   serve::TunedParamStore store;
-  serve::BatchOptions bopt;
-  bopt.workers = 8;
-  bopt.run.tuned = store.get_or_tune(serve::tuned_key(w.name, dev, cfg),
-                                     w.model, w.tune_samples, dev, cfg);
-  const serve::BatchReport measured =
-      serve::BatchRunner(dev, cfg, bopt).run(w.model, scans);
+  RunOptions run;
+  run.tuned = store.get_or_tune(serve::tuned_key(w.name, dev, cfg), w.model,
+                                w.tune_samples, dev, cfg);
+  serve::BatcherOptions immediate;
+  immediate.policy = serve::BatchPolicy::kImmediate;
+  serve::ServerConfig scfg;
+  scfg.with_model(w.name, w.model)
+      .with_device(dev)
+      .with_engine(cfg)
+      .with_workers(8)
+      .with_run(run)
+      .with_batcher(immediate);
+  serve::Server server(scfg);
+  server.start();
+  for (const SparseTensor& scan : scans) server.submit(scan, 0.0);
+  const serve::StreamReport measured = server.drain();
   const double mean_service = measured.stats.mean_service_seconds;
   std::printf("\nmeasured %zu scans, mean service %.2f ms (tuned %zu "
               "layers)\n",
-              n, mean_service * 1e3, bopt.run.tuned.size());
+              n, mean_service * 1e3, run.tuned.size());
 
   const int workers = 4;
   const int max_batch = 8;

@@ -32,7 +32,6 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"

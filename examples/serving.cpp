@@ -1,11 +1,11 @@
 // Serving demo: a pre-collected batch of LiDAR scans served on a worker
 // pool. Tuned grouping parameters are computed once per
 // deployment key in a shared TunedParamStore and reused by every
-// request, and BatchRunner::run shards the pre-collected batch across
-// worker threads while keeping each request's result identical to a
-// serial run. (For streaming traffic through serve::Server — priority
-// classes, incremental handles, device fleets — see
-// examples/streaming.cpp.)
+// request. The batch is one serve::Server session — immediate dispatch,
+// every scan arriving at 0 — so the workers measure the scans
+// concurrently while each request's result stays identical to a serial
+// run. (For streaming traffic — priority classes, incremental handles,
+// device fleets — see examples/streaming.cpp.)
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -14,7 +14,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
 
 using namespace ts;
@@ -49,29 +49,38 @@ int main() {
               batch.front().num_points(), batch.back().num_points());
 
   // 4. Serve the pre-collected scans on 4 workers and report the
-  //    modeled schedule.
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  opt.run = run;
-  const serve::BatchRunner runner(dev, cfg, opt);
-  const serve::BatchReport report = runner.run(w.model, batch);
-  const serve::BatchStats& s = report.stats;
+  //    modeled schedule. With every arrival at 0, e2e latency is the
+  //    completion time.
+  serve::BatcherOptions immediate;
+  immediate.policy = serve::BatchPolicy::kImmediate;
+  serve::ServerConfig scfg;
+  scfg.with_model(w.name, w.model)
+      .with_device(dev)
+      .with_engine(cfg)
+      .with_workers(4)
+      .with_run(run)
+      .with_batcher(immediate);
+  serve::Server server(scfg);
+  server.start();
+  for (const SparseTensor& scan : batch) server.submit(scan, 0.0);
+  const serve::StreamReport report = server.drain();
+  const serve::StreamStats& s = report.stats;
 
-  std::printf("\n%zu requests on %d workers (%s, %s)\n", s.requests,
+  std::printf("\n%zu requests on %d workers (%s, %s)\n", s.completed,
               s.workers, dev.name.c_str(), cfg.name.c_str());
   std::printf("  makespan    %8.2f ms\n", s.makespan_seconds * 1e3);
   std::printf("  throughput  %8.1f scans/s\n", s.throughput_fps);
   std::printf("  latency     p50 %.2f ms / p90 %.2f ms / p99 %.2f ms\n",
-              s.latency_p50_seconds * 1e3, s.latency_p90_seconds * 1e3,
-              s.latency_p99_seconds * 1e3);
+              s.e2e_p50_seconds * 1e3, s.e2e_p90_seconds * 1e3,
+              s.e2e_p99_seconds * 1e3);
   std::printf("  mean service %7.2f ms per scan\n",
               s.mean_service_seconds * 1e3);
 
   // Per-request view of the schedule (first few).
   std::printf("\nrequest  service(ms)  start(ms)  finish(ms)\n");
-  for (std::size_t i = 0; i < std::min<std::size_t>(6, s.requests); ++i) {
-    const serve::RequestResult& r = report.requests[i];
-    std::printf("%7zu  %11.2f  %9.2f  %10.2f\n", r.index,
+  for (std::size_t i = 0; i < std::min<std::size_t>(6, s.completed); ++i) {
+    const serve::StreamResult& r = report.requests[i];
+    std::printf("%7zu  %11.2f  %9.2f  %10.2f\n", r.id,
                 r.service_seconds * 1e3, r.start_seconds * 1e3,
                 r.finish_seconds * 1e3);
   }

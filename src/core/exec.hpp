@@ -116,9 +116,9 @@ struct ExecContext {
   uint64_t cache_namespace = 0;
   /// When non-null, mapping-stage cache accounting is deferred: lookups
   /// charge the cold path into the timeline and append a MapCacheEvent
-  /// here, and the owner replays the events in submission order
-  /// (MapCacheReplay) so modeled stats are deterministic under any worker
-  /// count. When null (single-threaded runs), hits charge immediately.
+  /// here, and the owner replays the events in a deterministic order
+  /// (the serving scheduler, or MapCacheReplay) so modeled stats are
+  /// independent of worker count. When null (single-threaded runs), hits charge immediately.
   std::vector<MapCacheEvent>* cache_events = nullptr;
 
   GroupParams params_for_layer() const {

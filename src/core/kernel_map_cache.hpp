@@ -18,14 +18,16 @@
 // Accounting happens on two clocks:
 //  * Host wall clock: a hit skips the real build (the fig13 hotspot).
 //    The cache tracks per-entry build wall time and bytes, and evicts
-//    LRU entries beyond a byte budget. Thread-safe; BatchRunner shares
-//    one cache across its whole worker pool.
+//    LRU entries beyond a byte budget. Thread-safe; a serve::Server
+//    shares one cache across its whole worker pool.
 //  * Modeled clock: a hit charges a small re-key cost instead of the
 //    full map-build kernels. Under concurrent serving the *wall* order
 //    of lookups is racy, so modeled accounting is deferred: requests
-//    measure cold and record MapCacheEvents, and MapCacheReplay re-runs
-//    the cache decisions in submission order — deterministic for any
-//    worker count (see docs/PERFORMANCE.md).
+//    measure cold and record MapCacheEvents, and the serving scheduler
+//    re-runs the cache decisions in dispatch order through each routed
+//    device's record-mode cache — deterministic for any worker count
+//    (see docs/PERFORMANCE.md). MapCacheReplay is the single-cache
+//    reference that replay is tested against.
 #pragma once
 
 #include <cstdint>
@@ -315,9 +317,10 @@ struct MapCacheReplayStats {
 /// Replays cache decisions in submission order over requests' recorded
 /// events, adjusting each request's cold-measured timeline to what a
 /// sequential (submission-ordered) pass over the shared cache would have
-/// charged. Because the replay depends only on the event streams and the
-/// byte budget — never on thread interleaving — serving statistics stay
-/// bit-reproducible for any worker count.
+/// charged. The replay depends only on the event streams and the byte
+/// budget — never on thread interleaving. The reference the serving
+/// layer's per-device replay (DeviceGroup) is pinned against: a
+/// one-device group reproduces it bit-for-bit.
 class MapCacheReplay {
  public:
   explicit MapCacheReplay(std::size_t byte_budget);

@@ -62,10 +62,6 @@ ServerConfig& ServerConfig::with_batch_overhead(double seconds) {
   batch_overhead_seconds = seconds;
   return *this;
 }
-ServerConfig& ServerConfig::with_reuse_context(bool on) {
-  reuse_context = on;
-  return *this;
-}
 ServerConfig& ServerConfig::with_fleet(const std::vector<FleetTier>& tiers) {
   fleet = expand_fleet(tiers);  // validates; throws invalid_argument
   device = fleet.front();       // the measurement reference spec
@@ -1114,16 +1110,14 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         "serve_stream: " + std::to_string(devices) +
         " devices exceeds kMaxModeledDevices (" +
         std::to_string(kMaxModeledDevices) + ")");
-  RunOptions run = config.run;
-  const bool fresh_cache = !run.map_cache && config.map_cache_bytes > 0;
-  if (fresh_cache)
-    run.map_cache = std::make_shared<KernelMapCache>(config.map_cache_bytes);
+  // The wall-clock cache is built (and warm-imported) once, by Server's
+  // constructor; a direct caller asking for one must hand it in.
+  if (!config.run.map_cache && config.map_cache_bytes > 0)
+    throw std::invalid_argument(
+        "serve_stream: map_cache_bytes > 0 but run.map_cache is null (build "
+        "the KernelMapCache before serving, as Server's constructor does)");
+  const RunOptions& run = config.run;
   const bool cached = static_cast<bool>(run.map_cache);
-  // Warm-start the wall-clock cache only when this call created it — a
-  // caller-owned cache (the Server path, which imports at construction)
-  // must not be re-imported every session.
-  if (fresh_cache && config.warm_snapshot)
-    run.map_cache->import_snapshot(*config.warm_snapshot);
 
   StreamReport report;
 
@@ -1167,7 +1161,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
     DeviceSpec shard_dev = config.device;
     shard_dev.device_index = device_index;
     std::optional<ExecContext> ctx;
-    if (context_pool && config.reuse_context) {
+    if (context_pool) {
       // Context hand-off: adopt a warm context from a previous session,
       // restamped to this worker's device pool. st.mu doubles as the
       // pool's lock — hand-offs only happen at worker start/exit.
@@ -1211,16 +1205,11 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
                      ? run_in_context(entry.fn, std::move(*item.input), c)
                      : run_in_context(entry.fn, *item.input, c);
         };
-        if (config.reuse_context) {
-          if (!ctx)
-            ctx.emplace(make_run_context(shard_dev, config.engine, run));
-          else
-            reset_context(*ctx);
-          t = run_one(*ctx);
-        } else {
-          ExecContext fresh = make_run_context(shard_dev, config.engine, run);
-          t = run_one(fresh);
-        }
+        if (!ctx)
+          ctx.emplace(make_run_context(shard_dev, config.engine, run));
+        else
+          reset_context(*ctx);
+        t = run_one(*ctx);
         item.result->timeline = t;
         item.result->service_seconds = t.total_seconds();
         {

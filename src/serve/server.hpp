@@ -35,7 +35,9 @@
 // never on thread timing, worker count, or when a handle was observed.
 // schedule_stream_dispatch below is the same scheduler as a one-shot
 // pass over an explicit plan, for sweeps that reuse one set of
-// measurements across many schedule configurations.
+// measurements across many schedule configurations. A pre-collected
+// batch is the degenerate session: every input submitted at arrival 0
+// under BatchPolicy::kImmediate places on the earliest-available lane.
 #pragma once
 
 #include <atomic>
@@ -48,9 +50,11 @@
 #include <vector>
 
 #include "core/sync.hpp"
-#include "serve/batch_runner.hpp"
+#include "engines/runner.hpp"
 #include "serve/fault.hpp"
+#include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
+#include "serve/serve_stats.hpp"
 
 namespace ts::serve {
 
@@ -108,8 +112,8 @@ struct ServerConfig {
   int workers = 1;                 // worker threads and lanes per device
   RunOptions run;                  // numerics, tuned params, map_cache...
   /// Byte budget for a server-owned cross-request KernelMapCache (0 =
-  /// disabled; ignored when run.map_cache is already set). See
-  /// BatchOptions::map_cache_bytes.
+  /// disabled; ignored when run.map_cache is already set). Server's
+  /// constructor is the one place that builds it (docs/PERFORMANCE.md).
   std::size_t map_cache_bytes = 0;
   QueueOptions queue;              // admission depth + priority preemption
   BatcherOptions batcher;          // default batching policy's knobs
@@ -117,9 +121,6 @@ struct ServerConfig {
   /// Fixed modeled setup cost charged once per dispatched batch; the
   /// amortizable slice that makes larger batches cheaper per request.
   double batch_overhead_seconds = 0;
-  /// Reuse one ExecContext per worker across requests (bit-identical
-  /// either way; reuse skips repeated cost-model construction).
-  bool reuse_context = true;
   /// Custom batch formation; when null the server builds a
   /// SloBatchingPolicy(batcher, priority) per session. Stateful and
   /// driven single-threaded — do not share one instance between
@@ -173,7 +174,6 @@ struct ServerConfig {
   ServerConfig& with_batcher(BatcherOptions b);
   ServerConfig& with_priority(PriorityOptions p);
   ServerConfig& with_batch_overhead(double seconds);
-  ServerConfig& with_reuse_context(bool on);
   /// Describes a heterogeneous fleet as {spec, count} tiers, e.g.
   ///   cfg.with_fleet({{device_spec_by_name("1080ti"), 2},
   ///                   {device_spec_by_name("3090"), 2}});
@@ -274,7 +274,10 @@ StreamStats schedule_stream_dispatch(
 /// Determinism: the report depends only on the drained (input, arrival,
 /// priority, model) stream, the config, and the policies.
 /// Preconditions (std::invalid_argument): `models` non-empty with
-/// non-null fns, a fleet within kMaxModeledDevices. Exception
+/// non-null fns, a fleet within kMaxModeledDevices, and a
+/// `config.run.map_cache` whenever `config.map_cache_bytes` > 0 (this
+/// function serves with the cache it is given and never builds one;
+/// Server's constructor does). Exception
 /// guarantee: on a request failure (or a policy contract violation, or
 /// a request naming a model outside the registry) the queue is closed,
 /// every unfulfilled handle receives the error, and the error is

@@ -16,7 +16,6 @@
 #include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"

@@ -21,7 +21,6 @@
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/fault.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"

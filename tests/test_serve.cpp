@@ -1,8 +1,10 @@
-// Serving runtime: the batch path must be a pure throughput construct —
-// identical per-request results to serial run_model, deterministic
-// statistics, and exactly-once tuning under concurrency.
+// Serving runtime: the fixed-batch schedule (arrival-0 singletons through
+// schedule_stream_dispatch) must give sane, deterministic statistics, the
+// shared percentile helper is pinned at its edges, and tuning runs
+// exactly once per key under concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <random>
@@ -16,7 +18,7 @@
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/server.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/tuned_param_store.hpp"
 
@@ -72,94 +74,60 @@ void expect_same_timeline(const Timeline& a, const Timeline& b) {
   EXPECT_DOUBLE_EQ(a.flops(), b.flops());
 }
 
-TEST(BatchRunner, MatchesSerialRunModelPerInput) {
-  const ModelFn model = small_unet(11);
-  const auto batch = make_batch(6, 100);
-  const DeviceSpec dev = rtx2080ti();
-  const EngineConfig cfg = torchsparse_config();
-
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  opt.run.numerics = true;
-  const serve::BatchRunner runner(dev, cfg, opt);
-  const serve::BatchReport report = runner.run(model, batch);
-
-  ASSERT_EQ(report.requests.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    RunOptions serial;
-    serial.numerics = true;
-    const Timeline ref = run_model(model, batch[i], dev, cfg, serial);
-    EXPECT_EQ(report.requests[i].index, i);
-    expect_same_timeline(report.requests[i].timeline, ref);
-  }
-}
-
-TEST(BatchRunner, StatsAreSaneUnderManyWorkers) {
+TEST(ScheduleStreamDispatch, ArrivalZeroSingletonsAreSaneAndScaleWithLanes) {
+  // A pre-collected batch is the degenerate stream: every request arrives
+  // at 0 and dispatches alone, so the schedule is earliest-available-lane
+  // placement of the measured service times.
   const ModelFn model = small_unet(12);
   const auto batch = make_batch(8, 200);
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  const serve::BatchRunner runner(rtx3090(), torchsparse_config(), opt);
-  const serve::BatchReport report = runner.run(model, batch);
-  const serve::BatchStats& s = report.stats;
+  std::vector<serve::StreamResult> measured(batch.size());
+  std::vector<serve::DispatchBatch> plan;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    measured[i].id = i;
+    measured[i].timeline =
+        run_model(model, batch[i], rtx3090(), torchsparse_config());
+    measured[i].service_seconds = measured[i].timeline.total_seconds();
+    plan.push_back({{i}, 0.0});
+  }
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
+  auto schedule = [&](int lanes, std::vector<serve::StreamResult>& reqs) {
+    reqs = measured;
+    serve::DeviceGroup group(rtx3090(), 1, 0);
+    return serve::schedule_stream_dispatch(reqs, plan, group, *routing,
+                                           lanes, 0.0);
+  };
 
-  EXPECT_EQ(s.requests, batch.size());
+  std::vector<serve::StreamResult> reqs;
+  const serve::StreamStats s = schedule(4, reqs);
+  EXPECT_EQ(s.completed, batch.size());
   EXPECT_EQ(s.workers, 4);
   EXPECT_GT(s.makespan_seconds, 0.0);
   EXPECT_GT(s.throughput_fps, 0.0);
   EXPECT_GT(s.mean_service_seconds, 0.0);
-  EXPECT_LE(s.latency_p50_seconds, s.latency_p90_seconds);
-  EXPECT_LE(s.latency_p90_seconds, s.latency_p99_seconds);
-  EXPECT_LE(s.latency_p99_seconds, s.makespan_seconds + 1e-12);
+  EXPECT_LE(s.e2e_p50_seconds, s.e2e_p90_seconds);
+  EXPECT_LE(s.e2e_p90_seconds, s.e2e_p99_seconds);
+  EXPECT_LE(s.e2e_p99_seconds, s.makespan_seconds + 1e-12);
 
   double sum_service = 0, max_service = 0;
-  for (const serve::RequestResult& r : report.requests) {
+  Timeline sum_timelines;
+  for (const serve::StreamResult& r : reqs) {
     EXPECT_GT(r.service_seconds, 0.0);
     EXPECT_GE(r.start_seconds, 0.0);
-    EXPECT_DOUBLE_EQ(r.finish_seconds,
-                     r.start_seconds + r.service_seconds);
+    EXPECT_DOUBLE_EQ(r.finish_seconds, r.start_seconds + r.service_seconds);
     sum_service += r.service_seconds;
     max_service = std::max(max_service, r.service_seconds);
+    sum_timelines += r.timeline;
   }
   // The schedule can never beat perfect division of work or finish
   // before its longest single request, and never exceeds serial time.
   EXPECT_GE(s.makespan_seconds,
             std::max(max_service, sum_service / s.workers) - 1e-12);
   EXPECT_LE(s.makespan_seconds, sum_service + 1e-12);
-  expect_same_timeline(s.aggregate, [&] {
-    Timeline t;
-    for (const auto& r : report.requests) t += r.timeline;
-    return t;
-  }());
-}
+  expect_same_timeline(s.aggregate, sum_timelines);
 
-TEST(BatchRunner, MoreWorkersImproveModeledThroughput) {
-  const ModelFn model = small_unet(13);
-  const auto batch = make_batch(8, 300);
-  const DeviceSpec dev = rtx2080ti();
-  const EngineConfig cfg = torchsparse_config();
-
-  auto throughput_with = [&](int workers) {
-    serve::BatchOptions opt;
-    opt.workers = workers;
-    return serve::BatchRunner(dev, cfg, opt)
-        .run(model, batch)
-        .stats.throughput_fps;
-  };
-  const double one = throughput_with(1);
-  const double four = throughput_with(4);
-  EXPECT_GT(four, 1.5 * one);
-}
-
-TEST(BatchRunner, EmptyBatchAndWorkerClamping) {
-  serve::BatchOptions opt;
-  opt.workers = 0;  // clamped to 1
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  EXPECT_EQ(runner.options().workers, 1);
-  const serve::BatchReport report = runner.run(small_unet(14), {});
-  EXPECT_TRUE(report.requests.empty());
-  EXPECT_EQ(report.stats.requests, 0u);
-  EXPECT_DOUBLE_EQ(report.stats.throughput_fps, 0.0);
+  std::vector<serve::StreamResult> serial;
+  EXPECT_GT(s.throughput_fps, 1.5 * schedule(1, serial).throughput_fps);
 }
 
 TEST(TunedParamStore, ComputesEachKeyOnceUnderConcurrentAccess) {

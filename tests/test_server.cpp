@@ -20,7 +20,6 @@
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
@@ -170,7 +169,6 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
       .with_queue_depth(7)
       .with_priority_preemption(true)
       .with_batch_overhead(0.002)
-      .with_reuse_context(false)
       .with_routing_policy(
           serve::make_routing_policy(serve::RoutePolicy::kCacheAffinity))
       .with_model("unet", small_unet(10));
@@ -189,7 +187,6 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
   EXPECT_EQ(cfg.batcher.max_batch, 5);
   EXPECT_DOUBLE_EQ(cfg.priority.aging_seconds, 0.25);
   EXPECT_DOUBLE_EQ(cfg.batch_overhead_seconds, 0.002);
-  EXPECT_FALSE(cfg.reuse_context);
   ASSERT_TRUE(cfg.routing);
   EXPECT_STREQ(cfg.routing->name(), "cache_affinity");
   ASSERT_EQ(cfg.models.size(), 1u);

@@ -369,6 +369,14 @@ TEST(StreamingServe, AdmissionRejectionsAreCountedInStats) {
   serve::SloBatchingPolicy batching(cfg.batcher);
   const auto routing =
       serve::make_routing_policy(serve::RoutePolicy::kLeastLoaded);
+  // serve_stream serves with the cache it is handed and never builds one
+  // (Server's constructor does): asking for a budget without a cache is
+  // a caller error, raised before the queue is touched.
+  serve::ServerConfig no_cache = cfg;
+  no_cache.with_map_cache_bytes(1 << 20);
+  EXPECT_THROW(
+      serve::serve_stream(models, queue, no_cache, batching, *routing),
+      std::invalid_argument);
   const serve::StreamReport report =
       serve::serve_stream(models, queue, cfg, batching, *routing);
   EXPECT_EQ(report.stats.completed, 4u);
@@ -480,13 +488,15 @@ TEST(StreamingServe, EmptySessionYieldsEmptyReport) {
   cfg.with_model("unet", small_unet(25))
       .with_device(rtx2080ti())
       .with_engine(torchsparse_config())
-      .with_workers(2);
+      .with_workers(0);  // clamped to 1
   serve::Server server(cfg);
+  EXPECT_EQ(server.config().workers, 1);
   server.start();
   const serve::StreamReport report = server.drain();
   EXPECT_TRUE(report.requests.empty());
   EXPECT_TRUE(report.batches.empty());
   EXPECT_EQ(report.stats.completed, 0u);
+  EXPECT_EQ(report.stats.workers, 1);
   EXPECT_DOUBLE_EQ(report.stats.throughput_fps, 0.0);
 }
 
