@@ -396,15 +396,13 @@ namespace {
 /// events (ties -> first encountered in member order). Returns false
 /// when the batch recorded no events (or the cache is disabled).
 bool dominant_digest(const RouteQuery& q, MapCacheKey* out) {
-  if (!q.events_of) return false;
+  if (!q.events) return false;
   // Batches are small (max_batch) and events few per request, so a flat
   // first-occurrence-ordered scan beats a hash map here.
   std::vector<MapCacheKey> keys;
   std::vector<double> weight;
   for (const std::size_t m : q.members) {
-    const std::vector<MapCacheEvent>* events = q.events_of(m);
-    if (!events) continue;
-    for (const MapCacheEvent& ev : *events) {
+    for (const MapCacheEvent& ev : (*q.events)[m]) {
       std::size_t k = 0;
       while (k < keys.size() && !(keys[k] == ev.key)) ++k;
       if (k == keys.size()) {
@@ -476,9 +474,8 @@ class CacheAffinityRouting final : public RoutingPolicy {
 ///
 /// Degenerate cases, all deterministic: on a homogeneous group every
 /// factor is exactly 1.0 and the rule reduces to least_loaded
-/// (bit-identical, pinned by test); with no timelines or service times
-/// to read (or zero-total batches) the estimate is 0 for every device
-/// and the rule again reduces to least_loaded.
+/// (bit-identical, pinned by test); on zero-total batches the estimate
+/// is 0 for every device and the rule again reduces to least_loaded.
 class EstimateAwareRouting final : public RoutingPolicy {
  public:
   int route(const RouteQuery& query, const DeviceGroup& group) override {
@@ -486,14 +483,9 @@ class EstimateAwareRouting final : public RoutingPolicy {
     // Batch stage totals on the reference device's modeled clock.
     double matmul = 0.0, total = 0.0;
     for (const std::size_t m : query.members) {
-      if (query.timeline_of) {
-        if (const Timeline* t = query.timeline_of(m)) {
-          matmul += t->stage_seconds(Stage::kMatMul);
-          total += t->total_seconds();
-          continue;
-        }
-      }
-      if (query.service_of) total += query.service_of(m);
+      const Timeline& t = query.requests[m].timeline;
+      matmul += t.stage_seconds(Stage::kMatMul);
+      total += t.total_seconds();
     }
     const double other = total - matmul;
     const DeviceSpec& ref = group.spec(0);

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "serve/device_group.hpp"
 #include "serve/dynamic_batcher.hpp"
 #include "serve/priority.hpp"
+#include "serve/request_queue.hpp"
 
 namespace ts::serve {
 
@@ -286,20 +286,18 @@ class DedupBatchingPolicy final : public SloBatchingPolicy {
 };
 
 /// Everything a RoutingPolicy may consult about the batch being routed.
-/// `events_of(id)` returns the member's recorded kernel-map cache
-/// events, or null when the cache is disabled (cache_affinity then
-/// falls back to least-loaded). `service_of(id)` / `timeline_of(id)`
-/// expose each member's measured modeled service time and stage
-/// timeline on the reference device — what estimate_aware scales into
-/// per-tier completion estimates; either may be empty when the caller
-/// has nothing measured to offer (policies must fall back gracefully).
+/// `members` index `requests`, the drained stream: each member's
+/// measured service time and stage timeline on the reference device —
+/// what estimate_aware scales into per-tier completion estimates.
+/// `events`, parallel to `requests`, holds each request's recorded
+/// kernel-map cache events, and is null when the cache is disabled
+/// (cache_affinity then falls back to least-loaded).
 struct RouteQuery {
   std::size_t batch_index = 0;
   const std::vector<std::size_t>& members;
   double dispatch_seconds = 0;
-  std::function<const std::vector<MapCacheEvent>*(std::size_t)> events_of;
-  std::function<double(std::size_t)> service_of;
-  std::function<const Timeline*(std::size_t)> timeline_of;
+  const std::vector<StreamResult>& requests;
+  const std::vector<std::vector<MapCacheEvent>>* events = nullptr;
 };
 
 /// Batch-routing interface over a DeviceGroup. route() is called once

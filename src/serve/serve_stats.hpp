@@ -26,23 +26,24 @@
 
 namespace ts::serve {
 
-/// The modeled outcome of one slice of a served stream — a priority
-/// class or a model: served and failed counts, fault retries, and
-/// queue-wait / end-to-end percentiles over the slice's own requests
-/// (zeros when the slice saw no traffic). Deterministic and worker-count
-/// invariant like every other modeled serve statistic.
+/// The modeled outcome of one slice of a served stream — the whole
+/// stream, a priority class or a model: served and failed counts, fault
+/// retries, and queue-wait / end-to-end percentiles over the slice's own
+/// requests (zeros when the slice saw no traffic). Deterministic and
+/// worker-count invariant like every other modeled serve statistic.
 struct LatencySummary {
   std::size_t completed = 0;
   /// Admitted-but-failed requests (typed ServeErrorCode results:
-  /// retries exhausted, no healthy device, deadline shed).
+  /// retries exhausted, no healthy device, deadline shed). Always 0
+  /// without a FaultPlan.
   std::size_t failed = 0;
   /// Extra placement attempts fault losses forced on the slice's served
   /// requests (sum of attempts - 1).
   std::size_t retries = 0;
-  double queue_wait_p50_seconds = 0;
-  double queue_wait_p90_seconds = 0;
-  double queue_wait_p99_seconds = 0;
-  double e2e_p50_seconds = 0;
+  double queue_wait_p50_seconds = 0;  // arrival -> batch-execution-start
+  double queue_wait_p90_seconds = 0;  //   percentiles (the SLO-bounded
+  double queue_wait_p99_seconds = 0;  //   quantity; see StreamResult)
+  double e2e_p50_seconds = 0;         // finish - arrival percentiles
   double e2e_p90_seconds = 0;
   double e2e_p99_seconds = 0;
 };
@@ -88,16 +89,10 @@ struct StreamBatchRecord {
   int attempts = 1;
 };
 
-struct StreamStats {
-  std::size_t completed = 0;
+/// A served stream's modeled outcome; the LatencySummary base is the
+/// stream-wide slice.
+struct StreamStats : LatencySummary {
   std::size_t rejected = 0;        // admission-control rejections
-  /// Requests admitted but not served: resolved with a ServeErrorCode
-  /// (retries exhausted, no healthy device, deadline-hopeless shed).
-  /// Always 0 without a FaultPlan.
-  std::size_t failed = 0;
-  /// Sum of per-request (attempts - 1) over served requests — every
-  /// extra placement attempt a fault forced.
-  std::size_t retries = 0;
   /// Batches that were re-placed at least once after a shard failure.
   std::size_t redispatched_batches = 0;
   /// Fault activations the injector applied during the stream.
@@ -111,12 +106,6 @@ struct StreamStats {
   int workers = 1;
   double makespan_seconds = 0;     // last finish - first arrival
   double throughput_fps = 0;       // completed / makespan
-  double queue_wait_p50_seconds = 0;  // arrival -> batch-execution-start
-  double queue_wait_p90_seconds = 0;  //   percentiles (the SLO-bounded
-  double queue_wait_p99_seconds = 0;  //   quantity; see StreamResult)
-  double e2e_p50_seconds = 0;         // finish - arrival percentiles
-  double e2e_p90_seconds = 0;
-  double e2e_p99_seconds = 0;
   double mean_service_seconds = 0;
   Timeline aggregate;              // sum of all request timelines
   /// Per-priority-class latency percentiles (size kNumPriorityClasses,

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -183,9 +182,6 @@ bool replay_event(DeviceGroup& group, int device, const MapCacheEvent& ev,
   return true;
 }
 
-using RequestAt = std::function<StreamResult&(std::size_t)>;
-using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
-
 /// One batch at a time, in dispatch order: route -> per-device cache
 /// accounting -> lane placement, accumulating everything finalize()
 /// needs for the stream statistics. This is the single scheduler body
@@ -209,9 +205,9 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 ///    only on the routed batch sequence, so every fault-relevant
 ///    statistic stays worker-count invariant (tests/test_fault.cpp).
 ///  * Finalization is deferred: a placed batch's results ship (and its
-///    members' promises fulfill, via `on_final`) only once no pending
-///    crash/stall on its device can still activate before its shadow
-///    finish (FaultInjector::vulnerable).
+///    members join take_final()) only once no pending crash/stall on
+///    its device can still activate before its shadow finish
+///    (FaultInjector::vulnerable).
 ///  * Cache events replay on the *first* attempt only: a retried batch
 ///    keeps its attempt-1 modeled service times. Replaying again would
 ///    double-apply the warm-hit deltas to member timelines; modeling
@@ -219,37 +215,28 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 ///    choice (docs/SERVING.md).
 class StreamPlacer {
  public:
-  /// `on_final` (optional) fires per member, in batch-member order, the
-  /// moment that member's result is final — at placement when no fault
-  /// can reach it, else at deferred finalization (or typed failure).
+  /// `requests` is the drained stream the batches index; `events`, when
+  /// non-null, holds each request's recorded cache resolutions (parallel
+  /// to `requests`) and turns on per-device cache replay. Both are read
+  /// at feed time, so the caller may append to them between calls.
   StreamPlacer(DeviceGroup& group, RoutingPolicy& routing,
                int workers_per_device, double batch_overhead_seconds,
-               RequestAt request_at, EventsAt events_at, bool cached,
-               FaultInjector& injector,
-               std::function<void(std::size_t)> on_final = {},
-               int num_models = 1)
+               std::vector<StreamResult>& requests,
+               const std::vector<std::vector<MapCacheEvent>>* events,
+               FaultInjector& injector, int num_models)
       : group_(group),
         routing_(routing),
         workers_(std::max(workers_per_device, 1)),
         overhead_(batch_overhead_seconds),
-        request_at_(std::move(request_at)),
-        events_at_(std::move(events_at)),
-        cached_(cached),
+        requests_(requests),
+        events_(events),
         injector_(&injector),
-        on_final_(std::move(on_final)),
-        class_waits_(kNumPriorityClasses),
-        class_e2es_(kNumPriorityClasses),
-        num_models_(std::max(num_models, 1)) {
+        models_(static_cast<std::size_t>(std::max(num_models, 1))),
+        model_cache_hits_(models_.size(), 0),
+        model_cache_lookups_(models_.size(), 0) {
     if (!std::isfinite(overhead_) || overhead_ < 0)
       throw std::invalid_argument(
           "schedule_stream: batch_overhead_seconds must be finite and >= 0");
-    const std::size_t nm = static_cast<std::size_t>(num_models_);
-    model_waits_.resize(nm);
-    model_e2es_.resize(nm);
-    model_failed_.assign(nm, 0);
-    model_retries_.assign(nm, 0);
-    model_cache_hits_.assign(nm, 0);
-    model_cache_lookups_.assign(nm, 0);
     group_.begin_schedule(workers_);
     injector_->reset();
     shadow_free_.assign(static_cast<std::size_t>(group_.size()), 0.0);
@@ -266,9 +253,6 @@ class StreamPlacer {
   /// then places (or sheds/defers) it. Fault-free, the members are
   /// final on return.
   void feed(const DispatchBatch& b) {
-    if (b.members.empty())
-      throw std::invalid_argument(
-          "serve: batching policy emitted an empty batch");
     const std::size_t id = next_batch_id_++;
     process_until(b.dispatch_seconds, static_cast<long long>(id));
     attempt_place(id, b.members, b.dispatch_seconds, b.dispatch_seconds, 1,
@@ -298,14 +282,17 @@ class StreamPlacer {
     finalize_sweep();
   }
 
-  std::size_t placed_batches() const { return placed_batches_; }
-  std::size_t placed_requests() const { return placed_requests_; }
+  /// Members whose result became final since the last call, in the
+  /// order they did (batch-member order within a batch): at placement
+  /// when no fault can reach them, else at deferred finalization or
+  /// with a typed failure.
+  std::vector<std::size_t> take_final() { return std::exchange(final_, {}); }
 
   /// Requests with a final outcome: served + typed failures. The
   /// end-of-stream coverage check compares this against the drained
-  /// count (placed_requests alone would miss shed/failed ones).
+  /// count (served alone would miss shed/failed ones).
   std::size_t accounted_requests() const {
-    return placed_requests_ + failed_;
+    return stream_.waits.size() + stream_.failed;
   }
 
   /// Final batch records, sorted by batch id (deferred finalization can
@@ -326,62 +313,44 @@ class StreamPlacer {
     StreamStats s;
     s.workers = workers_;
     s.devices = group_.size();
-    s.completed = placed_requests_;
     s.batches = placed_batches_;
-    s.failed = failed_;
-    s.retries = retries_total_;
     s.redispatched_batches = redispatched_batches_;
     s.faults_injected = injector_->activations();
     if (!retry_waits_.empty()) {
       std::sort(retry_waits_.begin(), retry_waits_.end());
       s.retry_wait_p99_seconds = percentile(retry_waits_, 0.99);
     }
+    summarize(stream_, s);
     s.per_device.resize(static_cast<std::size_t>(group_.size()));
     s.per_class.resize(kNumPriorityClasses);
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      PriorityClassStats& pc = s.per_class[static_cast<std::size_t>(c)];
-      pc.priority = static_cast<Priority>(c);
-      pc.failed = class_failed_[static_cast<std::size_t>(c)];
-      pc.retries = class_retries_[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < s.per_class.size(); ++c) {
+      s.per_class[c].priority = static_cast<Priority>(c);
+      summarize(classes_[c], s.per_class[c]);
     }
-    // Per-model counters (rejections are the caller's to fill — only
-    // the admission queue knows them).
-    s.per_model.resize(static_cast<std::size_t>(num_models_));
-    for (int m = 0; m < num_models_; ++m) {
-      ModelStats& pm = s.per_model[static_cast<std::size_t>(m)];
-      pm.model = m;
-      pm.failed = model_failed_[static_cast<std::size_t>(m)];
-      pm.retries = model_retries_[static_cast<std::size_t>(m)];
-      pm.cache_hits = model_cache_hits_[static_cast<std::size_t>(m)];
-      pm.cache_lookups = model_cache_lookups_[static_cast<std::size_t>(m)];
+    // Per-model slices (rejections are the caller's to fill — only the
+    // admission queue knows them).
+    s.per_model.resize(models_.size());
+    for (std::size_t m = 0; m < s.per_model.size(); ++m) {
+      ModelStats& pm = s.per_model[m];
+      pm.model = static_cast<int>(m);
+      pm.cache_hits = model_cache_hits_[m];
+      pm.cache_lookups = model_cache_lookups_[m];
+      summarize(models_[m], pm);
     }
-    if (placed_requests_ == 0) {
+    if (s.completed == 0) {
       for (int d = 0; d < group_.size(); ++d)
         s.per_device[static_cast<std::size_t>(d)] = group_.stats(d);
       return s;
     }
 
-    s.mean_batch_size = static_cast<double>(placed_requests_) /
+    s.mean_batch_size = static_cast<double>(s.completed) /
                         static_cast<double>(placed_batches_);
-    s.mean_service_seconds =
-        sum_service_ / static_cast<double>(placed_requests_);
+    s.mean_service_seconds = sum_service_ / static_cast<double>(s.completed);
     s.makespan_seconds = last_finish_ - first_arrival;
     s.throughput_fps =
         s.makespan_seconds > 0
-            ? static_cast<double>(placed_requests_) / s.makespan_seconds
+            ? static_cast<double>(s.completed) / s.makespan_seconds
             : 0.0;
-    std::sort(waits_.begin(), waits_.end());
-    std::sort(e2es_.begin(), e2es_.end());
-    s.queue_wait_p50_seconds = percentile(waits_, 0.50);
-    s.queue_wait_p90_seconds = percentile(waits_, 0.90);
-    s.queue_wait_p99_seconds = percentile(waits_, 0.99);
-    s.e2e_p50_seconds = percentile(e2es_, 0.50);
-    s.e2e_p90_seconds = percentile(e2es_, 0.90);
-    s.e2e_p99_seconds = percentile(e2es_, 0.99);
-    for (std::size_t c = 0; c < s.per_class.size(); ++c)
-      summarize(class_waits_[c], class_e2es_[c], s.per_class[c]);
-    for (std::size_t m = 0; m < s.per_model.size(); ++m)
-      summarize(model_waits_[m], model_e2es_[m], s.per_model[m]);
     s.aggregate = aggregate_;
 
     // Per-device clocks and the group-wide cache summary.
@@ -405,20 +374,36 @@ class StreamPlacer {
   }
 
  private:
-  /// Fills one slice's completed count and wait/e2e percentiles from
-  /// its samples (sorted in place).
-  static void summarize(std::vector<double>& waits, std::vector<double>& e2es,
-                        LatencySummary& out) {
-    out.completed = waits.size();
-    if (waits.empty()) return;
-    std::sort(waits.begin(), waits.end());
-    std::sort(e2es.begin(), e2es.end());
-    out.queue_wait_p50_seconds = percentile(waits, 0.50);
-    out.queue_wait_p90_seconds = percentile(waits, 0.90);
-    out.queue_wait_p99_seconds = percentile(waits, 0.99);
-    out.e2e_p50_seconds = percentile(e2es, 0.50);
-    out.e2e_p90_seconds = percentile(e2es, 0.90);
-    out.e2e_p99_seconds = percentile(e2es, 0.99);
+  /// The samples and counters of one stats slice: the whole stream, a
+  /// priority class, or a model.
+  struct Slice {
+    std::vector<double> waits, e2es;  // one sample per served request
+    std::size_t failed = 0;
+    std::size_t retries = 0;
+  };
+
+  /// The slices a request counts toward: the stream, its class, its
+  /// model (r.model < models_.size(), validated at the feed boundary).
+  std::array<Slice*, 3> slices_of(const StreamResult& r) {
+    return {&stream_, &classes_[static_cast<std::size_t>(r.priority)],
+            &models_[static_cast<std::size_t>(r.model)]};
+  }
+
+  /// Fills one slice's counts and wait/e2e percentiles (samples sorted
+  /// in place).
+  static void summarize(Slice& slice, LatencySummary& out) {
+    out.completed = slice.waits.size();
+    out.failed = slice.failed;
+    out.retries = slice.retries;
+    if (slice.waits.empty()) return;
+    std::sort(slice.waits.begin(), slice.waits.end());
+    std::sort(slice.e2es.begin(), slice.e2es.end());
+    out.queue_wait_p50_seconds = percentile(slice.waits, 0.50);
+    out.queue_wait_p90_seconds = percentile(slice.waits, 0.90);
+    out.queue_wait_p99_seconds = percentile(slice.waits, 0.99);
+    out.e2e_p50_seconds = percentile(slice.e2es, 0.50);
+    out.e2e_p90_seconds = percentile(slice.e2es, 0.90);
+    out.e2e_p99_seconds = percentile(slice.e2es, 0.99);
   }
 
   /// A batch placed on real lanes whose outcome is not yet final: a
@@ -450,14 +435,7 @@ class StreamPlacer {
   int route_batch(std::size_t id, const std::vector<std::size_t>& members,
                   double dispatch_seconds) {
     const int dev = routing_.route(
-        RouteQuery{id, members, dispatch_seconds,
-                   cached_ ? events_at_ : EventsAt{},
-                   [this](std::size_t m) {
-                     return request_at_(m).service_seconds;
-                   },
-                   [this](std::size_t m) -> const Timeline* {
-                     return &request_at_(m).timeline;
-                   }},
+        RouteQuery{id, members, dispatch_seconds, requests_, events_},
         group_);
     if (dev < 0 || dev >= group_.size())
       throw std::invalid_argument(
@@ -471,25 +449,24 @@ class StreamPlacer {
   /// device's modeled cache.
   void replay_members(int dev, const std::vector<std::size_t>& members) {
     for (const std::size_t m : members) {
-      StreamResult& r = request_at_(m);
-      // Callers guarantee r.model < num_models_ (validated at the feed
+      StreamResult& r = requests_[m];
+      // Callers guarantee r.model < models_.size() (validated at the feed
       // boundary); namespaced keys make these per-model counters
       // tenant-true.
       const std::size_t mdl = static_cast<std::size_t>(r.model);
-      if (const std::vector<MapCacheEvent>* evs = events_at_(m))
-        for (const MapCacheEvent& ev : *evs) {
-          const bool hit = replay_event(group_, dev, ev, r.timeline,
-                                        group_.stats(dev).map_cache);
-          ++model_cache_lookups_[mdl];
-          if (hit) ++model_cache_hits_[mdl];
-        }
+      for (const MapCacheEvent& ev : (*events_)[m]) {
+        const bool hit = replay_event(group_, dev, ev, r.timeline,
+                                      group_.stats(dev).map_cache);
+        ++model_cache_lookups_[mdl];
+        if (hit) ++model_cache_hits_[mdl];
+      }
       r.service_seconds = r.timeline.total_seconds();
     }
   }
 
   /// Ships one placed batch's final results: fills every member's
   /// schedule fields, pushes the percentile samples and the batch
-  /// record, and fires on_final per member.
+  /// record, and marks every member final.
   void finalize_placed(std::size_t id,
                        const std::vector<std::size_t>& members,
                        const std::vector<double>& services, double d0,
@@ -498,7 +475,7 @@ class StreamPlacer {
     double cursor = start + overhead_;
     std::size_t si = 0;
     for (const std::size_t m : members) {
-      StreamResult& r = request_at_(m);
+      StreamResult& r = requests_[m];
       r.start_seconds = cursor;
       r.finish_seconds = cursor + services[si];
       cursor = r.finish_seconds;
@@ -515,31 +492,20 @@ class StreamPlacer {
       r.device = dev;
       r.attempts = attempts;
       r.retry_wait_seconds = retry_wait;
-      waits_.push_back(r.queue_wait_seconds);
-      e2es_.push_back(r.e2e_seconds);
-      const int cls = static_cast<int>(r.priority);
-      class_waits_[static_cast<std::size_t>(cls)].push_back(
-          r.queue_wait_seconds);
-      class_e2es_[static_cast<std::size_t>(cls)].push_back(r.e2e_seconds);
-      const std::size_t mdl = static_cast<std::size_t>(r.model);
-      model_waits_[mdl].push_back(r.queue_wait_seconds);
-      model_e2es_[mdl].push_back(r.e2e_seconds);
+      for (Slice* sl : slices_of(r)) {
+        sl->waits.push_back(r.queue_wait_seconds);
+        sl->e2es.push_back(r.e2e_seconds);
+        sl->retries += static_cast<std::size_t>(attempts - 1);
+      }
       sum_service_ += r.service_seconds;
       aggregate_ += r.timeline;
-      ++placed_requests_;
-      if (attempts > 1) {
-        retries_total_ += static_cast<std::size_t>(attempts - 1);
-        class_retries_[static_cast<std::size_t>(cls)] +=
-            static_cast<std::size_t>(attempts - 1);
-        model_retries_[mdl] += static_cast<std::size_t>(attempts - 1);
-        retry_waits_.push_back(retry_wait);
-      }
-      if (on_final_) on_final_(m);
+      if (attempts > 1) retry_waits_.push_back(retry_wait);
+      final_.push_back(m);
     }
     last_finish_ = std::max(last_finish_, cursor);
     records_.push_back(StreamBatchRecord{
         id, members.front(), members.size(), d0, start, cursor, lane, dev,
-        request_at_(members.front()).model, attempts});
+        requests_[members.front()].model, attempts});
     ++placed_batches_;
   }
 
@@ -676,7 +642,7 @@ class StreamPlacer {
         injector_->options().degrade_deadline_seconds;
     std::vector<std::size_t> kept, shed;
     for (const std::size_t m : members) {
-      const StreamResult& r = request_at_(m);
+      const StreamResult& r = requests_[m];
       const double dl = deadlines[static_cast<std::size_t>(r.priority)];
       if (std::isfinite(dl) && vstart - r.arrival_seconds > dl)
         shed.push_back(m);
@@ -691,7 +657,7 @@ class StreamPlacer {
     if (kept.empty()) return;
 
     // Cache events replay on the first attempt only (see class doc).
-    if (cached_ && n == 1) replay_members(dev, kept);
+    if (events_ && n == 1) replay_members(dev, kept);
 
     // Member services go through the routing policy's per-device
     // estimate hook (a speed factor on heterogeneous fleets), so lane
@@ -702,7 +668,7 @@ class StreamPlacer {
     const double factor = injector_->service_factor(dev);
     for (const std::size_t m : kept)
       services.push_back(routing_.device_service_estimate(
-                             dev, request_at_(m).service_seconds) *
+                             dev, requests_[m].service_seconds) *
                          factor);
     double start = 0, finish = 0;
     const int lane =
@@ -749,24 +715,20 @@ class StreamPlacer {
                     ServeErrorCode code, const std::string& detail,
                     int attempts_so_far, std::size_t id, int device) {
     for (const std::size_t m : members) {
-      StreamResult& r = request_at_(m);
+      StreamResult& r = requests_[m];
       r.error = code;
       r.error_detail = detail;
       r.attempts = attempts_so_far;
       r.batch_id = id;
       r.batch_size = members.size();
       if (device >= 0) r.device = device;
-      const std::size_t cls = static_cast<std::size_t>(r.priority);
-      const std::size_t mdl = static_cast<std::size_t>(r.model);
-      ++failed_;
-      ++class_failed_[cls];
-      ++model_failed_[mdl];
-      if (attempts_so_far > 1) {
-        retries_total_ += static_cast<std::size_t>(attempts_so_far - 1);
-        class_retries_[cls] += static_cast<std::size_t>(attempts_so_far - 1);
-        model_retries_[mdl] += static_cast<std::size_t>(attempts_so_far - 1);
+      for (Slice* sl : slices_of(r)) {
+        ++sl->failed;
+        // attempts_so_far is 0 for a batch that never got a placement.
+        if (attempts_so_far > 1)
+          sl->retries += static_cast<std::size_t>(attempts_so_far - 1);
       }
-      if (on_final_) on_final_(m);
+      final_.push_back(m);
     }
   }
 
@@ -774,21 +736,17 @@ class StreamPlacer {
   RoutingPolicy& routing_;
   int workers_;
   double overhead_;
-  RequestAt request_at_;
-  EventsAt events_at_;
-  bool cached_;
+  std::vector<StreamResult>& requests_;
+  const std::vector<std::vector<MapCacheEvent>>* events_;  // null: no cache
   FaultInjector* injector_;
-  std::function<void(std::size_t)> on_final_;
+  std::vector<std::size_t> final_;  // see take_final()
   std::size_t next_batch_id_ = 0;
   std::size_t placed_batches_ = 0;
-  std::size_t placed_requests_ = 0;
   std::vector<StreamBatchRecord> records_;
-  std::vector<double> waits_, e2es_;
-  std::vector<std::vector<double>> class_waits_, class_e2es_;
-  /// Per-model accounting, parallel to the registry (size num_models_).
-  int num_models_ = 1;
-  std::vector<std::vector<double>> model_waits_, model_e2es_;
-  std::vector<std::size_t> model_failed_, model_retries_;
+  Slice stream_;
+  std::array<Slice, kNumPriorityClasses> classes_;
+  /// Per-model accounting, parallel to the registry.
+  std::vector<Slice> models_;
   std::vector<std::size_t> model_cache_hits_, model_cache_lookups_;
   double sum_service_ = 0;
   double last_finish_ = 0;
@@ -799,11 +757,7 @@ class StreamPlacer {
   std::vector<double> shadow_free_;  // per-device single-lane cursor
   std::map<std::size_t, Live> live_;
   std::map<std::pair<double, std::size_t>, Retry> retries_;
-  std::size_t failed_ = 0;
-  std::size_t retries_total_ = 0;
   std::size_t redispatched_batches_ = 0;
-  std::array<std::size_t, kNumPriorityClasses> class_failed_{};
-  std::array<std::size_t, kNumPriorityClasses> class_retries_{};
   std::vector<double> retry_waits_;
 };
 
@@ -820,6 +774,31 @@ FaultInjector make_injector(const FaultPlan* plan,
                        devices);
 }
 
+/// Checks one batch of a dispatch plan against the requests it indexes
+/// and marks its members assigned (std::invalid_argument on a breach):
+/// the batch is non-empty, and every member is in range, not yet
+/// dispatched, arrived by the dispatch stamp, and targets the batch's
+/// model — batches never mix models.
+void check_batch(const std::vector<StreamResult>& requests,
+                 std::vector<char>& assigned, const DispatchBatch& b) {
+  if (b.members.empty())
+    throw std::invalid_argument("serve: batch plan contains an empty batch");
+  for (const std::size_t m : b.members) {
+    if (m >= requests.size() || assigned[m])
+      throw std::invalid_argument(
+          "serve: batch plan must dispatch each request exactly once");
+    if (requests[m].arrival_seconds > b.dispatch_seconds)
+      throw std::invalid_argument(
+          "serve: batch dispatched before member arrival");
+    if (requests[m].model != b.model)
+      throw std::invalid_argument(
+          "serve: batch for model " + std::to_string(b.model) +
+          " mixes models (member " + std::to_string(m) + " targets " +
+          std::to_string(requests[m].model) + ")");
+    assigned[m] = 1;
+  }
+}
+
 }  // namespace
 
 StreamStats schedule_stream_dispatch(
@@ -834,11 +813,8 @@ StreamStats schedule_stream_dispatch(
     throw std::invalid_argument(
         "schedule_stream_dispatch: events must be parallel to requests");
   // Validate the whole plan before mutating anything: members must
-  // partition [0, requests.size()) and no batch may dispatch before one
-  // of its members arrives.
-  // Per-model stat vectors are sized off the request stream: model ids
-  // must be non-negative, and every batch must be single-model (its
-  // members' ids matching the batch's own).
+  // partition [0, requests.size()). Per-model stat vectors are sized off
+  // the request stream, so model ids must be non-negative.
   int num_models = 1;
   for (const StreamResult& r : requests) {
     if (r.model < 0)
@@ -849,26 +825,8 @@ StreamStats schedule_stream_dispatch(
   std::vector<char> assigned(requests.size(), 0);
   std::size_t covered = 0;
   for (const DispatchBatch& b : plan) {
-    if (b.members.empty())
-      throw std::invalid_argument(
-          "schedule_stream_dispatch: plan contains an empty batch");
-    for (const std::size_t m : b.members) {
-      if (m >= requests.size() || assigned[m])
-        throw std::invalid_argument(
-            "schedule_stream_dispatch: plan must dispatch each request "
-            "exactly once");
-      if (requests[m].arrival_seconds > b.dispatch_seconds)
-        throw std::invalid_argument(
-            "schedule_stream_dispatch: batch dispatched before member "
-            "arrival");
-      if (requests[m].model != b.model)
-        throw std::invalid_argument(
-            "schedule_stream_dispatch: batch " + std::to_string(b.model) +
-            " mixes models (member " + std::to_string(m) + " targets " +
-            std::to_string(requests[m].model) + ")");
-      assigned[m] = 1;
-      ++covered;
-    }
+    check_batch(requests, assigned, b);
+    covered += b.members.size();
   }
   if (covered != requests.size())
     throw std::invalid_argument(
@@ -879,13 +837,9 @@ StreamStats schedule_stream_dispatch(
   // from the caller-owned group).
   FaultInjector injector = make_injector(fault_plan, fault_tolerance,
                                          group.size());
-  StreamPlacer placer(
-      group, routing, workers_per_device, batch_overhead_seconds,
-      [&requests](std::size_t i) -> StreamResult& { return requests[i]; },
-      [events](std::size_t i) {
-        return events ? &(*events)[i] : nullptr;
-      },
-      events != nullptr, injector, {}, num_models);
+  StreamPlacer placer(group, routing, workers_per_device,
+                      batch_overhead_seconds, requests, events, injector,
+                      num_models);
   for (const DispatchBatch& b : plan) placer.feed(b);
   placer.finish_stream();
   if (batches) *batches = placer.batch_records();
@@ -927,76 +881,53 @@ struct Measurement {
   std::vector<std::size_t> followers;  // waiting for the publish
 };
 
-/// One measurement work item. Carries stable pointers (deque push_back
-/// and unordered_map insertion never move existing elements), so workers
-/// never touch the growing containers themselves; a worker owns its
-/// item's input, result and events exclusively until it publishes
-/// `measured` under StreamShared::mu, and touches `memo` only under it.
+/// One measurement work item: a leader's drained request. The worker
+/// that pops it owns the input and the events its run records until it
+/// publishes them under StreamShared::mu. `memo` stays valid while the
+/// memo grows (unordered_map insertion never moves existing nodes), but
+/// is touched only under the lock.
 struct WorkItem {
-  SparseTensor* input = nullptr;  // mutable: borrow_input moves it out
-  StreamResult* result = nullptr;
-  std::vector<MapCacheEvent>* events = nullptr;
+  std::size_t index = 0;  // drained-order scheduling id
+  int model = 0;          // registry index, validated before queuing
+  SparseTensor input;     // borrow_input moves it out
+  std::vector<MapCacheEvent> events;
   Measurement* memo = nullptr;
 };
 
-/// Coordinator/worker shared state of one serving session. Every
-/// container mutation happens under `mu` — workers index the same
-/// deques during incremental placement, and a deque push_back may
-/// reallocate the internal chunk map they would be reading. The deques
-/// keep element references stable while the coordinator appends and
-/// workers write measured service times through WorkItem pointers.
+/// Coordinator/worker shared state of one serving session. Everything
+/// but the lock and the condition variable is guarded by `mu`: the
+/// coordinator appends to the per-request vectors (which may reallocate
+/// them), workers publish measurements into them, and the placer reads
+/// them during incremental placement.
 struct StreamShared {
+  StreamShared(DeviceGroup& group, RoutingPolicy& routing, int workers,
+               double batch_overhead_seconds, bool cached,
+               FaultInjector& injector, int num_models)
+      : placer(group, routing, workers, batch_overhead_seconds, results,
+               cached ? &events : nullptr, injector, num_models) {}
+
   Mutex mu;
   /// Wakes workers on new work, producer completion, and failure.
   CondVar cv;
-  std::deque<StreamResult> results TS_GUARDED_BY(mu);  // drained order
-  std::deque<SparseTensor> inputs TS_GUARDED_BY(mu);   // one per leader
-  std::deque<std::vector<MapCacheEvent>> events TS_GUARDED_BY(mu);
+  std::vector<StreamResult> results TS_GUARDED_BY(mu);  // drained order
+  /// Parallel to results when the session caches, else empty.
+  std::vector<std::vector<MapCacheEvent>> events TS_GUARDED_BY(mu);
   /// Session-scoped measurement coalescing, keyed per distinct request.
   std::unordered_map<MeasureKey, Measurement, MeasureKeyHash> memo
       TS_GUARDED_BY(mu);
-  std::deque<std::promise<StreamResult>> promises TS_GUARDED_BY(mu);
-  std::deque<char> fulfilled TS_GUARDED_BY(mu);  // parallel to promises
-  std::deque<char> measured TS_GUARDED_BY(mu);   // parallel to results
-  std::deque<char> assigned TS_GUARDED_BY(mu);   // batched yet?
+  std::vector<std::promise<StreamResult>> promises TS_GUARDED_BY(mu);
+  std::vector<char> fulfilled TS_GUARDED_BY(mu);  // parallel to promises
+  std::vector<char> measured TS_GUARDED_BY(mu);   // parallel to results
+  std::vector<char> assigned TS_GUARDED_BY(mu);   // batched yet?
   std::vector<DispatchBatch> plan TS_GUARDED_BY(mu);
   std::size_t next_place TS_GUARDED_BY(mu) = 0;
   std::deque<WorkItem> work TS_GUARDED_BY(mu);
   bool producer_done TS_GUARDED_BY(mu) = false;
   std::exception_ptr first_error TS_GUARDED_BY(mu);
-};
-
-/// StreamPlacer callbacks over the shared state. The placer stores
-/// these type-erased (std::function), which the thread-safety analysis
-/// cannot see through — the TS_REQUIRES contracts below are what lets
-/// the guarded reads in the bodies analyze clean, and the call-site
-/// obligation is discharged structurally rather than by the compiler:
-/// placer.feed / finish_stream only ever run with st->mu held
-/// (try_place_locked and serve_stream's end-of-stream block).
-struct SharedRequestAt {
-  StreamShared* st;
-  StreamResult& operator()(std::size_t i) const TS_REQUIRES(st->mu) {
-    return st->results[i];
-  }
-};
-
-struct SharedEventsAt {
-  StreamShared* st;
-  bool cached;
-  const std::vector<MapCacheEvent>* operator()(std::size_t i) const
-      TS_REQUIRES(st->mu) {
-    return cached ? &st->events[i] : nullptr;
-  }
-};
-
-/// Fulfills a member's promise the moment its result is final —
-/// placement time fault-free, deferred finalization under faults.
-struct SharedOnFinal {
-  StreamShared* st;
-  void operator()(std::size_t m) const TS_REQUIRES(st->mu) {
-    st->promises[m].set_value(st->results[m]);
-    st->fulfilled[m] = 1;
-  }
+  /// The session's scheduler over `results` and `events`. Guarding it
+  /// makes the compiler check that every feed/finish_stream call holds
+  /// the lock the vectors it reads need.
+  StreamPlacer placer TS_GUARDED_BY(mu);
 };
 
 /// Latches the first failure and halts measurement: pending work is
@@ -1006,6 +937,16 @@ void fail_locked(StreamShared& st, std::exception_ptr error)
   if (!st.first_error) st.first_error = error;
   st.work.clear();
   st.producer_done = true;
+}
+
+/// Fulfills the promise of every member the placer finalized since the
+/// last call: at placement fault-free, at deferred finalization (or with
+/// a typed failure) under faults.
+void fulfill_final_locked(StreamShared& st) TS_REQUIRES(st.mu) {
+  for (const std::size_t m : st.placer.take_final()) {
+    st.promises[m].set_value(st.results[m]);
+    st.fulfilled[m] = 1;
+  }
 }
 
 /// Marks follower `f` measured with its leader's published measurement:
@@ -1019,12 +960,15 @@ void adopt_measurement_locked(StreamShared& st, const Measurement& m,
   st.measured[f] = 1;
 }
 
-/// Publishes a leader's measurement to its memo entry and to every
-/// follower already waiting on it.
+/// Publishes a leader's measurement to the leader itself, its memo
+/// entry, and every follower already waiting on it. The leader's events
+/// must already be in st.events, since followers copy them from there.
 void publish_measurement_locked(StreamShared& st, Measurement& m,
                                 const Timeline& t) TS_REQUIRES(st.mu) {
   m.timeline = t;
   m.published = true;
+  st.results[m.leader].timeline = t;
+  st.results[m.leader].service_seconds = t.total_seconds();
   st.measured[m.leader] = 1;
   for (const std::size_t f : m.followers) adopt_measurement_locked(st, m, f);
   m.followers = {};
@@ -1036,8 +980,8 @@ void publish_measurement_locked(StreamShared& st, Measurement& m,
 /// StreamHandle readable while later batches are still pending.
 /// Placement order never depends on measurement timing, so the
 /// schedule is bit-identical to a one-shot pass over the same plan.
-void try_place_locked(StreamShared& st, StreamPlacer& placer,
-                      RequestQueue& queue) TS_REQUIRES(st.mu) {
+void try_place_locked(StreamShared& st, RequestQueue& queue)
+    TS_REQUIRES(st.mu) {
   if (st.first_error) return;
   try {
     while (st.next_place < st.plan.size()) {
@@ -1049,10 +993,7 @@ void try_place_locked(StreamShared& st, StreamPlacer& placer,
           break;
         }
       if (!ready) break;
-      // Record + fulfillment are the placer's job: fault-free members
-      // fulfill here (inside feed), fault-mode members when their
-      // batch finalizes or fails.
-      placer.feed(b);
+      st.placer.feed(b);
       ++st.next_place;
     }
   } catch (...) {
@@ -1062,24 +1003,14 @@ void try_place_locked(StreamShared& st, StreamPlacer& placer,
     queue.close();
     st.cv.notify_all();
   }
+  // Members a throwing feed() finalized before the throw still resolve.
+  fulfill_final_locked(st);
 }
 
 /// Validates and appends one policy-emitted batch.
 void append_batch_locked(StreamShared& st, DispatchBatch&& b)
     TS_REQUIRES(st.mu) {
-  if (b.members.empty())
-    throw std::invalid_argument(
-        "serve_stream: batching policy emitted an empty batch");
-  for (const std::size_t m : b.members) {
-    if (m >= st.results.size() || st.assigned[m])
-      throw std::invalid_argument(
-          "serve_stream: batching policy must dispatch each request "
-          "exactly once");
-    if (st.results[m].arrival_seconds > b.dispatch_seconds)
-      throw std::invalid_argument(
-          "serve_stream: batch dispatched before member arrival");
-    st.assigned[m] = 1;
-  }
+  check_batch(st.results, st.assigned, b);
   st.plan.push_back(std::move(b));
 }
 
@@ -1101,15 +1032,11 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   for (const ModelEntry& m : models)
     if (!m.tuned.empty()) per_model_tuned = true;
   const int workers = std::max(config.workers, 1);
-  // A non-empty fleet names the shards explicitly; otherwise the group
-  // is the one reference device.
+  // A non-empty fleet names the shards explicitly (DeviceGroup bounds
+  // it by kMaxModeledDevices); otherwise the group is the one reference
+  // device.
   const int devices =
       config.fleet.empty() ? 1 : static_cast<int>(config.fleet.size());
-  if (devices > kMaxModeledDevices)
-    throw std::invalid_argument(
-        "serve_stream: " + std::to_string(devices) +
-        " devices exceeds kMaxModeledDevices (" +
-        std::to_string(kMaxModeledDevices) + ")");
   // The wall-clock cache is built (and warm-imported) once, by Server's
   // constructor; a direct caller asking for one must hand it in.
   if (!config.run.map_cache && config.map_cache_bytes > 0)
@@ -1118,13 +1045,6 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         "the KernelMapCache before serving, as Server's constructor does)");
   const RunOptions& run = config.run;
   const bool cached = static_cast<bool>(run.map_cache);
-
-  StreamReport report;
-
-  // Coordinator/worker shared state (StreamShared above): the drained
-  // stream, the dispatch plan, the work queue, and the failure latch,
-  // all guarded by st.mu.
-  StreamShared st;
 
   DeviceGroup group =
       config.fleet.empty()
@@ -1137,16 +1057,14 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   // is keyed on the configured snapshot alone (not on who owns the wall
   // cache): stats stay deterministic functions of the config + stream.
   if (cached && config.warm_snapshot) group.warm_start(config.warm_snapshot);
-  // Fulfillment runs through the placer's on_final hook (under st.mu —
-  // feed/finish_stream are only ever called with it held), which fires
-  // at placement, at deferred-finalization time, or with a typed
-  // failure.
   FaultInjector injector = make_injector(
       config.fault_plan.get(), &config.fault_tolerance, devices);
-  StreamPlacer placer(group, routing, workers, config.batch_overhead_seconds,
-                      SharedRequestAt{&st}, SharedEventsAt{&st, cached},
-                      cached, injector, SharedOnFinal{&st},
-                      static_cast<int>(models.size()));
+  // Coordinator/worker shared state (StreamShared above): the drained
+  // stream, the dispatch plan, the work queue, the failure latch, and
+  // the placer, all guarded by st.mu. Declared after the group and the
+  // injector, which the placer uses until it is destroyed.
+  StreamShared st(group, routing, workers, config.batch_overhead_seconds,
+                  cached, injector, static_cast<int>(models.size()));
 
   // Batch membership only shapes the modeled schedule, so a leader's
   // measurement starts the moment it is drained — no need to wait for
@@ -1178,44 +1096,38 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         MutexLock lock(st.mu);
         while (!st.producer_done && st.work.empty()) st.cv.wait(st.mu);
         if (st.work.empty()) break;
-        item = st.work.front();
+        item = std::move(st.work.front());
         st.work.pop_front();
       }
       try {
-        Timeline t;
         // The coordinator validated the model index before queuing the
         // work item, so this resolution cannot be out of range.
-        const ModelEntry& entry =
-            models[static_cast<std::size_t>(item.result->model)];
-        auto run_one = [&](ExecContext& c) {
-          // Per-request context restamp: every digest this request
-          // resolves lives in its model's namespace, and the model's
-          // tuned grouping parameters (when present) override the
-          // config-wide store. Entry namespace 0 (model 0's space)
-          // inherits the RunOptions namespace.
-          c.cache_namespace = entry.cache_namespace != 0
-                                  ? entry.cache_namespace
-                                  : run.cache_namespace;
-          if (per_model_tuned)
-            c.tuned = entry.tuned.empty() ? run.tuned : entry.tuned;
-          if (item.events) c.cache_events = item.events;
-          // borrow_input: the queue owns the drained tensor and nothing
-          // reads it after measurement, so steal it instead of copying.
-          return run.borrow_input
-                     ? run_in_context(entry.fn, std::move(*item.input), c)
-                     : run_in_context(entry.fn, *item.input, c);
-        };
+        const ModelEntry& entry = models[static_cast<std::size_t>(item.model)];
         if (!ctx)
           ctx.emplace(make_run_context(shard_dev, config.engine, run));
         else
           reset_context(*ctx);
-        t = run_one(*ctx);
-        item.result->timeline = t;
-        item.result->service_seconds = t.total_seconds();
+        // Per-request context restamp: every digest this request resolves
+        // lives in its model's namespace, and the model's tuned grouping
+        // parameters (when present) override the config-wide store. Entry
+        // namespace 0 (model 0's space) inherits the RunOptions namespace.
+        ctx->cache_namespace = entry.cache_namespace != 0
+                                   ? entry.cache_namespace
+                                   : run.cache_namespace;
+        if (per_model_tuned)
+          ctx->tuned = entry.tuned.empty() ? run.tuned : entry.tuned;
+        if (cached) ctx->cache_events = &item.events;
+        // borrow_input: the work item owns the drained tensor and nothing
+        // reads it after measurement, so steal it instead of copying.
+        const Timeline t =
+            run.borrow_input
+                ? run_in_context(entry.fn, std::move(item.input), *ctx)
+                : run_in_context(entry.fn, item.input, *ctx);
         {
           MutexLock lock(st.mu);
+          if (cached) st.events[item.index] = std::move(item.events);
           publish_measurement_locked(st, *item.memo, t);
-          try_place_locked(st, placer, queue);
+          try_place_locked(st, queue);
         }
       } catch (...) {
         {
@@ -1277,11 +1189,11 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         continue;
       }
       const std::size_t idx = st.results.size();
-      st.results.emplace_back();
-      st.results.back().id = pr.id;
-      st.results.back().arrival_seconds = pr.arrival_seconds;
-      st.results.back().priority = pr.priority;
-      st.results.back().model = pr.model;
+      StreamResult& r = st.results.emplace_back();
+      r.id = pr.id;
+      r.arrival_seconds = pr.arrival_seconds;
+      r.priority = pr.priority;
+      r.model = pr.model;
       st.promises.push_back(std::move(pr.promise));
       st.fulfilled.push_back(0);
       st.measured.push_back(0);
@@ -1309,16 +1221,14 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         Measurement& m = it->second;
         if (leader) {
           m.leader = idx;
-          st.inputs.push_back(std::move(pr.input));
-          st.work.push_back({&st.inputs.back(), &st.results.back(),
-                             cached ? &st.events.back() : nullptr, &m});
+          st.work.push_back({idx, pr.model, std::move(pr.input), {}, &m});
           queued = true;
         } else if (m.published) {
           adopt_measurement_locked(st, m, idx);
         } else {
           m.followers.push_back(idx);
         }
-        try_place_locked(st, placer, queue);
+        try_place_locked(st, queue);
       } catch (...) {
         fail_locked(st, std::current_exception());
         queue.close();
@@ -1336,25 +1246,16 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
       st.cv.notify_one();
   }
   {
-    bool errored;
-    {
-      MutexLock lock(st.mu);
-      errored = static_cast<bool>(st.first_error);
-    }
-    if (!errored) {
+    MutexLock lock(st.mu);
+    if (!st.first_error) {
       try {
-        std::vector<DispatchBatch> tail = batching.flush();
-        MutexLock lock(st.mu);
-        for (DispatchBatch& b : tail) append_batch_locked(st, std::move(b));
-        try_place_locked(st, placer, queue);
+        for (DispatchBatch& b : batching.flush())
+          append_batch_locked(st, std::move(b));
+        try_place_locked(st, queue);
       } catch (...) {
-        MutexLock lock(st.mu);
         fail_locked(st, std::current_exception());
       }
     }
-  }
-  {
-    MutexLock lock(st.mu);
     st.producer_done = true;
   }
   st.cv.notify_all();
@@ -1362,60 +1263,49 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 
   // Everything is measured now; any still-unplaced batches place here
   // (and a policy that failed to cover the stream is a contract error).
+  // The joins above ended all concurrency; the guarded state is still
+  // touched under st.mu so the annotations stay honest.
+  StreamReport report;
   {
     MutexLock lock(st.mu);
-    try_place_locked(st, placer, queue);
+    try_place_locked(st, queue);
     if (!st.first_error) {
       // Fault mode: drain the remaining fault events and retries so
       // every admitted request is served or carries a typed failure.
       try {
-        placer.finish_stream();
+        st.placer.finish_stream();
       } catch (...) {
         fail_locked(st, std::current_exception());
       }
+      fulfill_final_locked(st);
     }
     if (!st.first_error &&
         (st.next_place != st.plan.size() ||
-         placer.accounted_requests() != st.results.size()))
+         st.placer.accounted_requests() != st.results.size()))
       fail_locked(st,
                   std::make_exception_ptr(std::invalid_argument(
                       "serve_stream: batching policy left " +
                       std::to_string(st.results.size() -
-                                     placer.accounted_requests()) +
+                                     st.placer.accounted_requests()) +
                       " request(s) undispatched at end of stream")));
-  }
-
-  // The joins above ended all concurrency; the guarded state is still
-  // read under st.mu so the annotations stay honest.
-  std::exception_ptr failure;
-  {
-    MutexLock lock(st.mu);
-    failure = st.first_error;
-  }
-  if (failure) {
-    // Reset the batching policy (a failed stream skipped the normal
-    // flush) so a caller-supplied instance can serve the next session;
-    // discard whatever it still had pending.
-    try {
-      batching.flush();
-    } catch (...) {
+    if (st.first_error) {
+      // Reset the batching policy (a failed stream skipped the normal
+      // flush) so a caller-supplied instance can serve the next session;
+      // discard whatever it still had pending.
+      try {
+        batching.flush();
+      } catch (...) {
+      }
+      // Every unfulfilled handle observes the failure, then rethrow.
+      for (std::size_t i = 0; i < st.promises.size(); ++i)
+        if (!st.fulfilled[i]) st.promises[i].set_exception(st.first_error);
+      std::rethrow_exception(st.first_error);
     }
-    // Every unfulfilled handle observes the failure, then rethrow.
-    MutexLock lock(st.mu);
-    for (std::size_t i = 0; i < st.promises.size(); ++i)
-      if (!st.fulfilled[i]) st.promises[i].set_exception(failure);
-    std::rethrow_exception(failure);
+    report.batches = st.placer.batch_records();
+    report.stats = st.placer.finalize(
+        st.results.empty() ? 0.0 : st.results.front().arrival_seconds);
+    report.requests = std::move(st.results);
   }
-
-  report.batches = placer.batch_records();
-  {
-    MutexLock lock(st.mu);
-    report.requests.assign(std::make_move_iterator(st.results.begin()),
-                           std::make_move_iterator(st.results.end()));
-  }
-  report.stats = placer.finalize(
-      report.requests.empty() ? 0.0
-                              : report.requests.front().arrival_seconds);
   report.stats.rejected = queue.rejected();
   // Admission rejections never reach the placer, so the per-model
   // breakdown is filled from the queue here (the vector only grows to
@@ -1430,6 +1320,21 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
+
+namespace {
+
+/// The batching policy a session serves with when the config names
+/// none (std::invalid_argument on bad knobs).
+std::shared_ptr<BatchingPolicy> default_batching_policy(
+    const ServerConfig& cfg) {
+  if (cfg.dedup_batching)
+    return std::make_shared<DedupBatchingPolicy>(
+        cfg.batcher, cfg.priority, model_batching_infos(cfg.models));
+  return std::make_shared<SloBatchingPolicy>(
+      cfg.batcher, cfg.priority, model_batching_infos(cfg.models));
+}
+
+}  // namespace
 
 Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   cfg_.workers = std::max(cfg_.workers, 1);
@@ -1488,14 +1393,7 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   // Validate the default policy knobs eagerly (throws invalid_argument)
   // so a bad configuration fails at construction, not at start() —
   // including the per-model batching contract the registry implies.
-  if (!cfg_.batching) {
-    if (cfg_.dedup_batching)
-      DedupBatchingPolicy probe(cfg_.batcher, cfg_.priority,
-                                model_batching_infos(cfg_.models));
-    else
-      SloBatchingPolicy probe(cfg_.batcher, cfg_.priority,
-                              model_batching_infos(cfg_.models));
-  }
+  if (!cfg_.batching) default_batching_policy(cfg_);
   if (!cfg_.run.map_cache && cfg_.map_cache_bytes > 0)
     cfg_.run.map_cache =
         std::make_shared<KernelMapCache>(cfg_.map_cache_bytes);
@@ -1523,15 +1421,8 @@ void Server::start() {
   queue_ = std::make_unique<RequestQueue>(cfg_.queue);
   report_ = StreamReport{};
   error_ = nullptr;
-  std::shared_ptr<BatchingPolicy> batching = cfg_.batching;
-  if (!batching) {
-    if (cfg_.dedup_batching)
-      batching = std::make_shared<DedupBatchingPolicy>(
-          cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
-    else
-      batching = std::make_shared<SloBatchingPolicy>(
-          cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
-  }
+  std::shared_ptr<BatchingPolicy> batching =
+      cfg_.batching ? cfg_.batching : default_batching_policy(cfg_);
   std::shared_ptr<RoutingPolicy> routing = cfg_.routing;
   if (!routing) routing = make_routing_policy(RoutePolicy::kLeastLoaded);
   running_ = true;
@@ -1552,28 +1443,13 @@ void Server::start() {
 
 StreamHandle Server::submit(SparseTensor input, double arrival_seconds,
                             Priority priority) {
-  // life_mu_ (not just the running_ atomic): a submit racing drain()'s
-  // start()-replacement of queue_ must never dereference the old queue
-  // after its session freed it. Admission never blocks inside the
-  // queue, so the lock hold is short; a submit arriving while drain()
-  // joins simply waits and then gets the typed error.
-  MutexLock lock(life_mu_);
-  if (!running_ || !queue_)
-    throw std::logic_error(
-        "Server::submit: no session is running (call start() before "
-        "submitting; a drained or stopped session does not admit)");
-  return queue_->submit(std::move(input), arrival_seconds, priority);
+  return submit_to(0, std::move(input), arrival_seconds, priority);
 }
 
 std::optional<StreamHandle> Server::try_submit(SparseTensor input,
                                                double arrival_seconds,
                                                Priority priority) {
-  MutexLock lock(life_mu_);
-  if (!running_ || !queue_)
-    throw std::logic_error(
-        "Server::try_submit: no session is running (call start() before "
-        "submitting; a drained or stopped session does not admit)");
-  return queue_->try_submit(std::move(input), arrival_seconds, priority);
+  return try_submit_to(0, std::move(input), arrival_seconds, priority);
 }
 
 Priority Server::resolve_submission(
@@ -1591,6 +1467,11 @@ Priority Server::resolve_submission(
 StreamHandle Server::submit_to(int model, SparseTensor input,
                                double arrival_seconds,
                                std::optional<Priority> priority) {
+  // life_mu_ (not just the running_ atomic): a submit racing drain()'s
+  // start()-replacement of queue_ must never dereference the old queue
+  // after its session freed it. Admission never blocks inside the
+  // queue, so the lock hold is short; a submit arriving while drain()
+  // joins simply waits and then gets the typed error.
   MutexLock lock(life_mu_);
   if (!running_ || !queue_)
     throw std::logic_error(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -367,6 +369,25 @@ TEST(DeviceSpecs, PaperOrderingsHold) {
   EXPECT_TRUE(d2.has_fp16_tensor_cores);
   // 2080Ti L2 is 5.5MB (the paper quotes this).
   EXPECT_DOUBLE_EQ(d2.l2_bytes, 5.5 * 1024 * 1024);
+}
+
+TEST(DeviceSpecs, DefaultInitializationZeroesEveryField) {
+  // Default-initialize into storage filled with a non-zero pattern: a
+  // field without a default member initializer would keep the pattern,
+  // and copying such a spec (a default ServerConfig holds one) would
+  // read indeterminate values.
+  alignas(DeviceSpec) unsigned char buf[sizeof(DeviceSpec)];
+  std::memset(buf, 0xAB, sizeof buf);
+  DeviceSpec* d = new (buf) DeviceSpec;
+  EXPECT_EQ(d->dram_bandwidth_gbps, 0.0);
+  EXPECT_EQ(d->peak_fp32_tflops, 0.0);
+  EXPECT_EQ(d->peak_fp16_tflops, 0.0);
+  EXPECT_FALSE(d->has_fp16_tensor_cores);
+  EXPECT_EQ(d->l2_bytes, 0.0);
+  EXPECT_EQ(d->launch_overhead_us, 0.0);
+  EXPECT_EQ(d->core_clock_ghz, 0.0);
+  EXPECT_EQ(d->num_sms, 0);
+  d->~DeviceSpec();
 }
 
 TEST(Timeline, AccumulatesAndAggregates) {

@@ -620,6 +620,68 @@ TEST(Server, CustomBatchingPolicyIsResetAfterFailedSession) {
   EXPECT_EQ(ok.stats.completed, 1u);
 }
 
+/// A batching policy that holds every arrival and emits a fixed plan at
+/// end of stream, whatever the stream looked like.
+class FixedPlanPolicy final : public serve::BatchingPolicy {
+ public:
+  explicit FixedPlanPolicy(std::vector<serve::DispatchBatch> plan)
+      : plan_(std::move(plan)) {}
+  std::vector<serve::DispatchBatch> on_arrival(
+      const serve::ArrivalInfo&) override {
+    ++pending_;
+    return {};
+  }
+  std::vector<serve::DispatchBatch> flush() override {
+    pending_ = 0;
+    return plan_;
+  }
+  std::size_t pending() const override { return pending_; }
+  const char* name() const override { return "fixed-plan"; }
+
+ private:
+  std::vector<serve::DispatchBatch> plan_;
+  std::size_t pending_ = 0;
+};
+
+TEST(Server, RejectsRogueBatchingPolicyPlans) {
+  // Requests 0 and 1 target model 0 and arrive at 0.0 and 0.5; request 2
+  // targets model 1 and arrives at 1.0. Each rogue plan breaks one
+  // batch-plan rule, so the session fails with invalid_argument and
+  // every handle receives that error. The last plan is well-formed and
+  // serves the same stream.
+  const std::vector<std::vector<serve::DispatchBatch>> plans = {
+      {{{}, 1.0, 0}, {{0, 1}, 1.0, 0}, {{2}, 1.0, 1}},  // empty batch
+      {{{0, 1, 0}, 1.0, 0}, {{2}, 1.0, 1}},             // duplicate member
+      {{{0, 1}, 0.5, 0}, {{2}, 0.5, 1}},                // before arrival
+      {{{0, 1, 2}, 1.0, 0}},                            // mixed models
+      {{{0, 1}, 1.0, 0}, {{2}, 1.0, 1}},                // well-formed
+  };
+  for (std::size_t k = 0; k < plans.size(); ++k) {
+    SCOPED_TRACE("plan " + std::to_string(k));
+    serve::ServerConfig cfg;
+    cfg.with_device(rtx2080ti())
+        .with_engine(torchsparse_config())
+        .with_model("a", small_unet(60))
+        .with_model("b", small_unet(61))
+        .with_batching_policy(std::make_shared<FixedPlanPolicy>(plans[k]));
+    serve::Server server(cfg);
+    server.start();
+    std::vector<serve::StreamHandle> handles;
+    handles.push_back(server.submit_to(0, random_tensor(50, 8, 4, 6000), 0.0));
+    handles.push_back(server.submit_to(0, random_tensor(50, 8, 4, 6001), 0.5));
+    handles.push_back(server.submit_to(1, random_tensor(50, 8, 4, 6002), 1.0));
+    if (k + 1 == plans.size()) {
+      const serve::StreamReport ok = server.drain();
+      EXPECT_EQ(ok.stats.completed, 3u);
+      EXPECT_EQ(ok.batches.at(1).model, 1);
+      continue;
+    }
+    EXPECT_THROW(server.drain(), std::invalid_argument);
+    for (const serve::StreamHandle& h : handles)
+      EXPECT_THROW(h.get(), std::invalid_argument);
+  }
+}
+
 // --- Duplicate-aware batch formation ----------------------------------
 
 serve::ArrivalInfo arrival_at(std::size_t id, double t, uint64_t digest,
