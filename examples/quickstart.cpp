@@ -2,7 +2,6 @@
 // run it on a synthetic LiDAR scan with the TorchSparse engine, and print
 // the modeled per-stage timeline.
 #include <cstdio>
-#include <random>
 
 #include "data/voxelize.hpp"
 #include "engines/presets.hpp"
@@ -23,13 +22,13 @@ int main() {
 
   // 2. A small sparse CNN, composed exactly like the paper's Fig. 5
   //    SparseConvBlock: Conv3d + BatchNorm + ReLU.
-  std::mt19937_64 rng(7);
+  spnn::BuildContext b(7);
   spnn::Sequential net;
-  net.emplace<spnn::ConvBlock>(4, 32, 3, 1, false, rng);   // submanifold
-  net.emplace<spnn::ConvBlock>(32, 64, 2, 2, false, rng);  // downsample x2
-  net.emplace<spnn::ConvBlock>(64, 64, 3, 1, false, rng);  // submanifold
-  net.emplace<spnn::ConvBlock>(64, 32, 2, 2, true, rng);   // upsample x2
-  net.emplace<spnn::ConvBlock>(32, 16, 3, 1, false, rng);
+  net.emplace<spnn::ConvBlock>(4, 32, 3, 1, false, b);   // submanifold
+  net.emplace<spnn::ConvBlock>(32, 64, 2, 2, false, b);  // downsample x2
+  net.emplace<spnn::ConvBlock>(64, 64, 3, 1, false, b);  // submanifold
+  net.emplace<spnn::ConvBlock>(64, 32, 2, 2, true, b);   // upsample x2
+  net.emplace<spnn::ConvBlock>(32, 16, 3, 1, false, b);
 
   // 3. Run with the TorchSparse engine on a modeled RTX 2080Ti,
   //    computing real numerics.

@@ -3,22 +3,22 @@
 namespace ts::spnn {
 
 CenterPoint::CenterPoint(std::size_t in_channels, uint64_t seed) {
-  std::mt19937_64 rng(seed + 17);
-  stem_ = std::make_unique<ConvBlock>(in_channels, 16, 3, 1, false, rng);
-  res0_ = std::make_unique<ResidualBlock>(16, 16, 3, rng);
-  down1_ = std::make_unique<ConvBlock>(16, 32, 3, 2, false, rng);
-  res1_ = std::make_unique<ResidualBlock>(32, 32, 3, rng);
-  down2_ = std::make_unique<ConvBlock>(32, 64, 3, 2, false, rng);
-  res2_ = std::make_unique<ResidualBlock>(64, 64, 3, rng);
-  down3_ = std::make_unique<ConvBlock>(64, 128, 3, 2, false, rng);
-  res3a_ = std::make_unique<ResidualBlock>(128, 128, 3, rng);
-  res3b_ = std::make_unique<ResidualBlock>(128, 128, 3, rng);
+  BuildContext b(seed + 17);
+  stem_ = std::make_unique<ConvBlock>(in_channels, 16, 3, 1, false, b);
+  res0_ = std::make_unique<ResidualBlock>(16, 16, 3, b);
+  down1_ = std::make_unique<ConvBlock>(16, 32, 3, 2, false, b);
+  res1_ = std::make_unique<ResidualBlock>(32, 32, 3, b);
+  down2_ = std::make_unique<ConvBlock>(32, 64, 3, 2, false, b);
+  res2_ = std::make_unique<ResidualBlock>(64, 64, 3, b);
+  down3_ = std::make_unique<ConvBlock>(64, 128, 3, 2, false, b);
+  res3a_ = std::make_unique<ResidualBlock>(128, 128, 3, b);
+  res3b_ = std::make_unique<ResidualBlock>(128, 128, 3, b);
 
-  neck_.emplace_back(128, 128, rng);
-  neck_.emplace_back(128, 128, rng);
-  neck_.emplace_back(128, 128, rng);
-  heatmap_head_ = std::make_unique<Conv2d>(128, 1, rng, /*relu=*/false);
-  box_head_ = std::make_unique<Conv2d>(128, 4, rng, /*relu=*/false);
+  neck_.emplace_back(128, 128, b);
+  neck_.emplace_back(128, 128, b);
+  neck_.emplace_back(128, 128, b);
+  heatmap_head_ = std::make_unique<Conv2d>(128, 1, b, /*relu=*/false);
+  box_head_ = std::make_unique<Conv2d>(128, 4, b, /*relu=*/false);
 }
 
 void CenterPoint::collect_convs(std::vector<Conv3d*>& out) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "nn/layers.hpp"
 
@@ -44,12 +45,12 @@ DenseBEV sparse_to_bev(const SparseTensor& x, ExecContext& ctx) {
   return bev;
 }
 
-Conv2d::Conv2d(int c_in, int c_out, std::mt19937_64& rng, bool relu)
-    : c_in_(c_in), c_out_(c_out), relu_(relu) {
-  const float scale = std::sqrt(2.0f / (9.0f * static_cast<float>(c_in)));
-  weight_ = random_weight(static_cast<std::size_t>(9 * c_in),
-                          static_cast<std::size_t>(c_out), rng, scale);
-}
+Conv2d::Conv2d(int c_in, int c_out, BuildContext& b, bool relu)
+    : c_in_(c_in),
+      c_out_(c_out),
+      relu_(relu),
+      seed_(b.next_seed()),
+      weight_(std::make_unique<LazyWeights<Matrix>>()) {}
 
 DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
   DenseBEV y;
@@ -70,6 +71,13 @@ DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
   ctx.timeline.add_kernel_launches(1);
 
   if (ctx.compute_numerics) {
+    const Matrix& weight = weight_->get([this] {
+      std::mt19937_64 rng(seed_);
+      const float scale =
+          std::sqrt(2.0f / (9.0f * static_cast<float>(c_in_)));
+      return random_weight(static_cast<std::size_t>(9 * c_in_),
+                           static_cast<std::size_t>(c_out_), rng, scale);
+    });
     // Direct 3x3 convolution (numerics identical to im2col+GEMM).
     for (int co = 0; co < c_out_; ++co) {
       float* out = y.data.row(static_cast<std::size_t>(co));
@@ -90,8 +98,8 @@ DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
                   static_cast<std::size_t>(c_in_);
               for (int ci = 0; ci < c_in_; ++ci)
                 acc += x.data.at(static_cast<std::size_t>(ci), cell) *
-                       weight_.at(wrow0 + static_cast<std::size_t>(ci),
-                                  static_cast<std::size_t>(co));
+                       weight.at(wrow0 + static_cast<std::size_t>(ci),
+                                 static_cast<std::size_t>(co));
             }
           }
           out[static_cast<std::size_t>(yy) * static_cast<std::size_t>(x.w) +

@@ -8,11 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
+#include <memory>
 #include <vector>
 
 #include "core/exec.hpp"
 #include "core/sparse_tensor.hpp"
+#include "nn/build_context.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ts::spnn {
@@ -29,16 +30,22 @@ struct DenseBEV {
 DenseBEV sparse_to_bev(const SparseTensor& x, ExecContext& ctx);
 
 /// Dense 3x3 conv + ReLU over a BEV map (im2col + GEMM numerics; cost is
-/// one GEMM of [h*w, 9*c_in, c_out] charged to Stage::kDense2D).
+/// one GEMM of [h*w, 9*c_in, c_out] charged to Stage::kDense2D). The
+/// weights are drawn from the layer's seed on the first numeric forward.
 class Conv2d {
  public:
-  Conv2d(int c_in, int c_out, std::mt19937_64& rng, bool relu = true);
+  Conv2d(int c_in, int c_out, BuildContext& b, bool relu = true);
   DenseBEV forward(const DenseBEV& x, ExecContext& ctx) const;
+  /// Whether a numeric forward has drawn the real weights yet.
+  bool weights_drawn() const { return weight_->drawn(); }
 
  private:
   int c_in_, c_out_;
   bool relu_;
-  Matrix weight_;  // [9*c_in, c_out]
+  uint64_t seed_;
+  // Behind a pointer so Conv2d stays movable (models hold it by value in
+  // a vector) while its once-state does not move.
+  std::unique_ptr<LazyWeights<Matrix>> weight_;  // [9*c_in, c_out]
 };
 
 /// An axis-aligned BEV detection box.

@@ -1,6 +1,5 @@
 #include "nn/layers.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -30,39 +29,39 @@ std::vector<Matrix> make_conv_weights(int kernel_size, std::size_t c_in,
   return w;
 }
 
-int next_layer_id() {
-  static std::atomic<int> counter{0};
-  return counter++;
-}
-
 Conv3d::Conv3d(std::size_t c_in, std::size_t c_out, int kernel_size,
-               int stride, bool transposed, std::mt19937_64& rng,
-               int dilation)
-    : id_(next_layer_id()) {
+               int stride, bool transposed, BuildContext& b, int dilation)
+    : seed_(b.next_seed()), id_(b.next_ordinal()) {
   params_.geom.kernel_size = kernel_size;
   params_.geom.stride = stride;
   params_.geom.transposed = transposed;
   params_.geom.dilation = dilation;
-  params_.weights = make_conv_weights(kernel_size, c_in, c_out, rng);
+  params_.weights.assign(static_cast<std::size_t>(kernel_volume(kernel_size)),
+                         Matrix::shape_only(c_in, c_out));
 }
 
 SparseTensor Conv3d::forward(const SparseTensor& x, ExecContext& ctx) {
   ctx.layer_id = id_;
-  return sparse_conv3d(x, params_, ctx);
+  if (!ctx.compute_numerics) return sparse_conv3d(x, params_, ctx);
+  const Conv3dParams& p = drawn_.get([this] {
+    std::mt19937_64 rng(seed_);
+    return Conv3dParams{
+        params_.geom,
+        make_conv_weights(params_.geom.kernel_size, params_.in_channels(),
+                          params_.out_channels(), rng)};
+  });
+  return sparse_conv3d(x, p, ctx);
 }
 
-void Conv3d::quantize_weights(Precision p) {
-  for (Matrix& w : params_.weights) w.quantize(p);
-}
-
-BatchNorm::BatchNorm(std::size_t channels, std::mt19937_64& rng) {
-  std::uniform_real_distribution<float> g(0.7f, 1.3f);
-  std::uniform_real_distribution<float> b(-0.1f, 0.1f);
+BatchNorm::BatchNorm(std::size_t channels, BuildContext& b) {
+  std::mt19937_64& rng = b.rng();
+  std::uniform_real_distribution<float> gamma(0.7f, 1.3f);
+  std::uniform_real_distribution<float> beta(-0.1f, 0.1f);
   scale_.resize(channels);
   shift_.resize(channels);
   for (std::size_t c = 0; c < channels; ++c) {
-    scale_[c] = g(rng);
-    shift_[c] = b(rng);
+    scale_[c] = gamma(rng);
+    shift_[c] = beta(rng);
   }
 }
 
@@ -101,27 +100,26 @@ SparseTensor ReLU::forward(const SparseTensor& x, ExecContext& ctx) {
 }
 
 ConvBlock::ConvBlock(std::size_t c_in, std::size_t c_out, int kernel_size,
-                     int stride, bool transposed, std::mt19937_64& rng)
+                     int stride, bool transposed, BuildContext& b)
     : conv_(std::make_unique<Conv3d>(c_in, c_out, kernel_size, stride,
-                                     transposed, rng)),
-      bn_(std::make_unique<BatchNorm>(c_out, rng)) {}
+                                     transposed, b)),
+      bn_(std::make_unique<BatchNorm>(c_out, b)) {}
 
 SparseTensor ConvBlock::forward(const SparseTensor& x, ExecContext& ctx) {
   return relu_.forward(bn_->forward(conv_->forward(x, ctx), ctx), ctx);
 }
 
 ResidualBlock::ResidualBlock(std::size_t c_in, std::size_t c_out,
-                             int kernel_size, std::mt19937_64& rng)
+                             int kernel_size, BuildContext& b)
     : conv1_(std::make_unique<Conv3d>(c_in, c_out, kernel_size, 1, false,
-                                      rng)),
-      bn1_(std::make_unique<BatchNorm>(c_out, rng)),
+                                      b)),
+      bn1_(std::make_unique<BatchNorm>(c_out, b)),
       conv2_(std::make_unique<Conv3d>(c_out, c_out, kernel_size, 1, false,
-                                      rng)),
-      bn2_(std::make_unique<BatchNorm>(c_out, rng)) {
+                                      b)),
+      bn2_(std::make_unique<BatchNorm>(c_out, b)) {
   if (c_in != c_out) {
-    shortcut_conv_ =
-        std::make_unique<Conv3d>(c_in, c_out, 1, 1, false, rng);
-    shortcut_bn_ = std::make_unique<BatchNorm>(c_out, rng);
+    shortcut_conv_ = std::make_unique<Conv3d>(c_in, c_out, 1, 1, false, b);
+    shortcut_bn_ = std::make_unique<BatchNorm>(c_out, b);
   }
 }
 
@@ -184,10 +182,6 @@ SparseTensor concat_features(const SparseTensor& a, const SparseTensor& b,
     }
   }
   return SparseTensor(a.coords_ptr(), std::move(f), a.stride(), a.cache());
-}
-
-void quantize_convs(const std::vector<Conv3d*>& convs, Precision p) {
-  for (Conv3d* c : convs) c->quantize_weights(p);
 }
 
 }  // namespace ts::spnn

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/conv3d.hpp"
+#include "nn/build_context.hpp"
 #include "nn/module.hpp"
 
 namespace ts::spnn {
@@ -17,36 +18,37 @@ std::vector<Matrix> make_conv_weights(int kernel_size, std::size_t c_in,
                                       std::size_t c_out,
                                       std::mt19937_64& rng);
 
-/// Process-unique id for a conv layer (keys the Alg. 5 tuned parameters).
-int next_layer_id();
-
 /// Sparse 3-D convolution layer; `transposed` selects the decoder-style
 /// inverse convolution that upsamples to the cached finer coordinates.
+/// Cost-only forwards run on shape-only weights; the first forward that
+/// computes numerics draws the real weights from the layer's seed.
 class Conv3d : public Module {
  public:
   Conv3d(std::size_t c_in, std::size_t c_out, int kernel_size, int stride,
-         bool transposed, std::mt19937_64& rng, int dilation = 1);
+         bool transposed, BuildContext& b, int dilation = 1);
 
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
   void collect_convs(std::vector<Conv3d*>& out) override {
     out.push_back(this);
   }
 
+  /// Structural ordinal within the model (construction order); keys the
+  /// Alg. 5 tuned parameters and LayerRecord.
   int layer_id() const { return id_; }
-  const Conv3dParams& params() const { return params_; }
-  /// Quantizes weights to the given storage precision (engines running
-  /// FP16 models quantize once at load time).
-  void quantize_weights(Precision p);
+  /// Whether a numeric forward has drawn the real weights yet.
+  bool weights_drawn() const { return drawn_.drawn(); }
 
  private:
-  Conv3dParams params_;
+  Conv3dParams params_;  // shape-only weights: what cost-only passes read
+  LazyWeights<Conv3dParams> drawn_;
+  uint64_t seed_;
   int id_;
 };
 
 /// Per-channel affine normalization with fixed (inference-time) stats.
 class BatchNorm : public Module {
  public:
-  BatchNorm(std::size_t channels, std::mt19937_64& rng);
+  BatchNorm(std::size_t channels, BuildContext& b);
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
 
  private:
@@ -63,7 +65,7 @@ class ReLU : public Module {
 class ConvBlock : public Module {
  public:
   ConvBlock(std::size_t c_in, std::size_t c_out, int kernel_size, int stride,
-            bool transposed, std::mt19937_64& rng);
+            bool transposed, BuildContext& b);
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
   void collect_convs(std::vector<Conv3d*>& out) override {
     out.push_back(conv_.get());
@@ -80,7 +82,7 @@ class ConvBlock : public Module {
 class ResidualBlock : public Module {
  public:
   ResidualBlock(std::size_t c_in, std::size_t c_out, int kernel_size,
-                std::mt19937_64& rng);
+                BuildContext& b);
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
   void collect_convs(std::vector<Conv3d*>& out) override {
     out.push_back(conv1_.get());
@@ -105,9 +107,5 @@ SparseTensor add_features(const SparseTensor& a, const SparseTensor& b,
 /// Concatenates feature channels over identical coordinates (U-Net skip).
 SparseTensor concat_features(const SparseTensor& a, const SparseTensor& b,
                              ExecContext& ctx);
-
-/// Recursively quantizes all conv weights in a module tree. (Each model
-/// class exposes its convs; this helper operates on an explicit list.)
-void quantize_convs(const std::vector<Conv3d*>& convs, Precision p);
 
 }  // namespace ts::spnn

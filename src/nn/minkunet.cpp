@@ -14,21 +14,21 @@ std::size_t scaled(double width, int base) {
 
 MinkUNet::MinkUNet(double width, std::size_t in_channels,
                    std::size_t num_classes, uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  BuildContext b(seed);
   const int base[9] = {32, 32, 64, 128, 256, 256, 128, 96, 96};
   std::size_t cs[9];
   for (int i = 0; i < 9; ++i) cs[i] = scaled(width, base[i]);
 
-  stem1_ = std::make_unique<ConvBlock>(in_channels, cs[0], 3, 1, false, rng);
-  stem2_ = std::make_unique<ConvBlock>(cs[0], cs[0], 3, 1, false, rng);
+  stem1_ = std::make_unique<ConvBlock>(in_channels, cs[0], 3, 1, false, b);
+  stem2_ = std::make_unique<ConvBlock>(cs[0], cs[0], 3, 1, false, b);
 
   // Encoder: channels cs[0] -> cs[1..4], tensor strides 2/4/8/16.
   std::size_t ch = cs[0];
   for (int s = 0; s < 4; ++s) {
     Down d;
-    d.down = std::make_unique<ConvBlock>(ch, ch, 2, 2, false, rng);
-    d.res1 = std::make_unique<ResidualBlock>(ch, cs[s + 1], 3, rng);
-    d.res2 = std::make_unique<ResidualBlock>(cs[s + 1], cs[s + 1], 3, rng);
+    d.down = std::make_unique<ConvBlock>(ch, ch, 2, 2, false, b);
+    d.res1 = std::make_unique<ResidualBlock>(ch, cs[s + 1], 3, b);
+    d.res2 = std::make_unique<ResidualBlock>(cs[s + 1], cs[s + 1], 3, b);
     ch = cs[s + 1];
     encoder_.push_back(std::move(d));
   }
@@ -38,15 +38,15 @@ MinkUNet::MinkUNet(double width, std::size_t in_channels,
   const std::size_t skip_ch[4] = {cs[3], cs[2], cs[1], cs[0]};
   for (int s = 0; s < 4; ++s) {
     Up u;
-    u.up = std::make_unique<ConvBlock>(ch, cs[5 + s], 2, 2, true, rng);
+    u.up = std::make_unique<ConvBlock>(ch, cs[5 + s], 2, 2, true, b);
     u.res1 = std::make_unique<ResidualBlock>(cs[5 + s] + skip_ch[s],
-                                             cs[5 + s], 3, rng);
-    u.res2 = std::make_unique<ResidualBlock>(cs[5 + s], cs[5 + s], 3, rng);
+                                             cs[5 + s], 3, b);
+    u.res2 = std::make_unique<ResidualBlock>(cs[5 + s], cs[5 + s], 3, b);
     ch = cs[5 + s];
     decoder_.push_back(std::move(u));
   }
 
-  classifier_ = std::make_unique<Conv3d>(ch, num_classes, 1, 1, false, rng);
+  classifier_ = std::make_unique<Conv3d>(ch, num_classes, 1, 1, false, b);
 }
 
 void MinkUNet::collect_convs(std::vector<Conv3d*>& out) {

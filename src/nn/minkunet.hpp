@@ -23,7 +23,7 @@ class MinkUNet : public Module {
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
   void collect_convs(std::vector<Conv3d*>& out) override;
 
-  /// All conv layers (for weight quantization and tuner bookkeeping).
+  /// All conv layers, in construction (ordinal) order.
   std::vector<Conv3d*> convs() {
     std::vector<Conv3d*> out;
     collect_convs(out);

@@ -18,7 +18,7 @@ class Module {
  public:
   virtual ~Module() = default;
   virtual SparseTensor forward(const SparseTensor& x, ExecContext& ctx) = 0;
-  /// Appends every Conv3d in this subtree (weight quantization, stats).
+  /// Appends every Conv3d in this subtree (layer stats, tests).
   virtual void collect_convs(std::vector<Conv3d*>&) {}
 };
 

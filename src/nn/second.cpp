@@ -3,23 +3,23 @@
 namespace ts::spnn {
 
 SecondDetector::SecondDetector(std::size_t in_channels, uint64_t seed) {
-  std::mt19937_64 rng(seed * 31 + 5);
-  stem_ = std::make_unique<ConvBlock>(in_channels, 16, 3, 1, false, rng);
+  BuildContext b(seed * 31 + 5);
+  stem_ = std::make_unique<ConvBlock>(in_channels, 16, 3, 1, false, b);
   const std::size_t chans[4] = {16, 32, 64, 64};
   for (int s = 0; s < 3; ++s) {
     Stage st;
-    st.conv1 = std::make_unique<ConvBlock>(chans[s], chans[s], 3, 1, false,
-                                           rng);
-    st.conv2 = std::make_unique<ConvBlock>(chans[s], chans[s], 3, 1, false,
-                                           rng);
-    st.down = std::make_unique<ConvBlock>(chans[s], chans[s + 1], 3, 2,
-                                          false, rng);
+    st.conv1 =
+        std::make_unique<ConvBlock>(chans[s], chans[s], 3, 1, false, b);
+    st.conv2 =
+        std::make_unique<ConvBlock>(chans[s], chans[s], 3, 1, false, b);
+    st.down =
+        std::make_unique<ConvBlock>(chans[s], chans[s + 1], 3, 2, false, b);
     stages_.push_back(std::move(st));
   }
-  rpn_.emplace_back(64, 96, rng);
-  rpn_.emplace_back(96, 96, rng);
-  score_head_ = std::make_unique<Conv2d>(96, 1, rng, /*relu=*/false);
-  box_head_ = std::make_unique<Conv2d>(96, 4, rng, /*relu=*/false);
+  rpn_.emplace_back(64, 96, b);
+  rpn_.emplace_back(96, 96, b);
+  score_head_ = std::make_unique<Conv2d>(96, 1, b, /*relu=*/false);
+  box_head_ = std::make_unique<Conv2d>(96, 4, b, /*relu=*/false);
 }
 
 void SecondDetector::collect_convs(std::vector<Conv3d*>& out) {

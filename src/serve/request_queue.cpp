@@ -89,43 +89,46 @@ bool RequestQueue::preempt_locked(Priority incoming) {
 
 namespace {
 
-/// Priority is an index into per-class accounting downstream; an
-/// out-of-enumerator value (a well-formed enum can hold one) is a
-/// caller bug and must die at the admission boundary, not corrupt the
-/// scheduler's per-class vectors.
-void validate_priority(const char* who, Priority priority) {
+/// The caller-bug checks every submission path makes before admission
+/// (std::invalid_argument, never counted as a rejection). Priority is an
+/// index into per-class accounting downstream; an out-of-enumerator
+/// value (a well-formed enum can hold one) must die here, not corrupt
+/// the scheduler's per-class vectors. Model ids index per-model ledgers
+/// (here and in StreamStats); the upper bound is the serving session's
+/// registry size, which the queue doesn't know, so the serving loop
+/// checks it when draining.
+void validate_submission(const char* who, double arrival_seconds,
+                         Priority priority, int model) {
   const int cls = static_cast<int>(priority);
   if (cls < 0 || cls >= kNumPriorityClasses)
     throw std::invalid_argument(
         std::string(who) + ": priority class " + std::to_string(cls) +
         " outside [0, " + std::to_string(kNumPriorityClasses) + ")");
-}
-
-/// Model ids index per-model ledgers (here and in StreamStats); a
-/// negative id is a caller bug, rejected at the admission boundary. The
-/// upper bound is the serving session's registry size, which the queue
-/// doesn't know — the serving loop validates it when draining.
-void validate_model(const char* who, int model) {
   if (model < 0)
     throw std::invalid_argument(std::string(who) + ": model id " +
                                 std::to_string(model) + " must be >= 0");
+  if (!std::isfinite(arrival_seconds) || arrival_seconds < 0)
+    throw std::invalid_argument(
+        std::string(who) + ": arrival time must be finite and >= 0");
 }
 
 }  // namespace
 
+void RequestQueue::check_arrival_order_locked(const char* who,
+                                              double arrival_seconds) const {
+  if (next_id_ > 0 && arrival_seconds < last_arrival_)
+    throw std::invalid_argument(
+        std::string(who) + ": arrival times must be non-decreasing (got " +
+        std::to_string(arrival_seconds) + " after " +
+        std::to_string(last_arrival_) + ")");
+}
+
 StreamHandle RequestQueue::submit(SparseTensor input, double arrival_seconds,
                                   Priority priority, int model) {
   MutexLock lock(mu_);
-  validate_priority("RequestQueue::submit", priority);
-  validate_model("RequestQueue::submit", model);
-  if (!std::isfinite(arrival_seconds) || arrival_seconds < 0)
-    throw std::invalid_argument(
-        "RequestQueue::submit: arrival time must be finite and >= 0");
-  if (next_id_ > 0 && arrival_seconds < last_arrival_)
-    throw std::invalid_argument(
-        "RequestQueue::submit: arrival times must be non-decreasing (got " +
-        std::to_string(arrival_seconds) + " after " +
-        std::to_string(last_arrival_) + ")");
+  validate_submission("RequestQueue::submit", arrival_seconds, priority,
+                      model);
+  check_arrival_order_locked("RequestQueue::submit", arrival_seconds);
   if (closed_) {
     count_rejection_locked(model);
     throw AdmissionError("RequestQueue::submit: queue is closed");
@@ -152,14 +155,9 @@ std::optional<StreamHandle> RequestQueue::try_submit(
     SparseTensor input, double arrival_seconds, Priority priority,
     int model) {
   MutexLock lock(mu_);
-  validate_priority("RequestQueue::try_submit", priority);
-  validate_model("RequestQueue::try_submit", model);
-  if (!std::isfinite(arrival_seconds) || arrival_seconds < 0)
-    throw std::invalid_argument(
-        "RequestQueue::try_submit: arrival time must be finite and >= 0");
-  if (next_id_ > 0 && arrival_seconds < last_arrival_)
-    throw std::invalid_argument(
-        "RequestQueue::try_submit: arrival times must be non-decreasing");
+  validate_submission("RequestQueue::try_submit", arrival_seconds, priority,
+                      model);
+  check_arrival_order_locked("RequestQueue::try_submit", arrival_seconds);
   const std::size_t cls = static_cast<std::size_t>(priority);
   if (closed_ ||
       (opt_.class_max_depth[cls] > 0 &&
@@ -175,11 +173,8 @@ StreamHandle RequestQueue::submit_wait(SparseTensor input,
                                        double arrival_seconds,
                                        Priority priority, int model) {
   MutexLock lock(mu_);
-  validate_priority("RequestQueue::submit_wait", priority);
-  validate_model("RequestQueue::submit_wait", model);
-  if (!std::isfinite(arrival_seconds) || arrival_seconds < 0)
-    throw std::invalid_argument(
-        "RequestQueue::submit_wait: arrival time must be finite and >= 0");
+  validate_submission("RequestQueue::submit_wait", arrival_seconds,
+                      priority, model);
   // Backpressure wait: sleeps while the queue (or the class) is full,
   // woken by wait_pop drains, preemption evictions, and close(). close()
   // turns the wait into a typed rejection — a blocked producer can never
@@ -191,13 +186,9 @@ StreamHandle RequestQueue::submit_wait(SparseTensor input,
         "RequestQueue::submit_wait: queue closed while waiting for a "
         "slot");
   }
-  // Re-validate monotonicity at admission: another producer may have
-  // admitted a later stamp while this one was blocked.
-  if (next_id_ > 0 && arrival_seconds < last_arrival_)
-    throw std::invalid_argument(
-        "RequestQueue::submit_wait: arrival times must be non-decreasing "
-        "(got " + std::to_string(arrival_seconds) + " after " +
-        std::to_string(last_arrival_) + ")");
+  // Check monotonicity at admission: another producer may have admitted
+  // a later stamp while this one was blocked.
+  check_arrival_order_locked("RequestQueue::submit_wait", arrival_seconds);
   return admit_locked(std::move(input), arrival_seconds, priority, model);
 }
 

@@ -297,6 +297,11 @@ class RequestQueue {
   /// True while admitting `priority` would exceed max_depth or the
   /// class's class_max_depth cap.
   bool full_locked(Priority priority) const TS_REQUIRES(mu_);
+  /// Throws std::invalid_argument if `arrival_seconds` precedes the last
+  /// admitted stamp (arrivals must be non-decreasing).
+  void check_arrival_order_locked(const char* who,
+                                  double arrival_seconds) const
+      TS_REQUIRES(mu_);
 
   /// Immutable after construction (safe to read without mu_).
   QueueOptions opt_;

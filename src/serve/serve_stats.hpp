@@ -38,7 +38,8 @@ struct LatencySummary {
   /// without a FaultPlan.
   std::size_t failed = 0;
   /// Extra placement attempts fault losses forced on the slice's served
-  /// requests (sum of attempts - 1).
+  /// and failed requests (sum of attempts - 1 over both; a request that
+  /// failed before any placement adds 0).
   std::size_t retries = 0;
   double queue_wait_p50_seconds = 0;  // arrival -> batch-execution-start
   double queue_wait_p90_seconds = 0;  //   percentiles (the SLO-bounded

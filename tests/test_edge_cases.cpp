@@ -234,8 +234,8 @@ TEST(EdgeCases, BatchNormChannelMismatchThrows) {
   // Regression (ROADMAP "Hardening"): an NDEBUG build used to scale
   // features with out-of-bounds gamma/beta reads; now a descriptive
   // exception in Debug and Release, on cost-only passes too.
-  std::mt19937_64 rng(11);
-  spnn::BatchNorm bn(8, rng);
+  spnn::BuildContext b(11);
+  spnn::BatchNorm bn(8, b);
   std::vector<Coord> coords = {{0, 1, 1, 1}};
   SparseTensor x(coords, Matrix(1, 4, 1.0f));
   ExecContext ctx = fp32_ctx();

@@ -255,11 +255,14 @@ TEST(CostOnly, ProducersReturnStorageFreeFeatures) {
     EXPECT_EQ(bev.data.cols(), static_cast<std::size_t>(bev.h * bev.w));
     EXPECT_EQ(bev.data.has_storage(), numerics);
 
-    const spnn::Conv2d conv2d(32, 4, rng);
+    spnn::BuildContext b(43);
+    const spnn::Conv2d conv2d(32, 4, b);
     const spnn::DenseBEV head = conv2d.forward(bev, ctx);
     EXPECT_EQ(head.data.rows(), 4u);
     EXPECT_EQ(head.data.cols(), bev.data.cols());
     EXPECT_EQ(head.data.has_storage(), numerics);
+    // A cost-only forward never draws the layer's weights.
+    EXPECT_EQ(conv2d.weights_drawn(), numerics);
   }
 }
 

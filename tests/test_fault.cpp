@@ -47,12 +47,12 @@ SparseTensor random_tensor(int n, int extent, std::size_t channels,
 }
 
 ModelFn small_unet(uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  spnn::BuildContext b(seed);
   auto net = std::make_shared<spnn::Sequential>();
-  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, rng);
+  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, b);
+  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, b);
   return [net](const SparseTensor& x, ExecContext& ctx) {
     net->forward(x, ctx);
   };
@@ -478,6 +478,53 @@ TEST(FaultOutcome, StallRecoveryRedispatchesTheLostBatch) {
       saw_retry_record = true;
     }
   EXPECT_TRUE(saw_retry_record);
+}
+
+TEST(FaultOutcome, RetriesCountFailedRequestsAttemptsToo) {
+  // LatencySummary::retries sums attempts - 1 over served *and* failed
+  // requests. A stall loses batch #0 (attempt 1); a second stall lands
+  // while its re-placement runs, so with two attempts allowed the
+  // request fails with kRetriesExhausted after one retry, and that
+  // retry still counts.
+  const ModelFn model = small_unet(88);
+  std::vector<SparseTensor> stream;
+  for (int i = 0; i < 3; ++i)
+    stream.push_back(random_tensor(100, 12, 4, 8800 + i));
+  serve::DeviceFault stall{0, serve::FaultKind::kStall};
+  stall.at_dispatch = 1;
+  stall.duration_seconds = 0.05;
+  serve::FaultToleranceOptions tol;
+  tol.max_attempts = 2;
+  auto session = [&](const serve::FaultPlan& plan) {
+    serve::Server server(base_cfg(model, stream.size() + 1)
+                             .with_fault_plan(plan)
+                             .with_fault_tolerance(tol));
+    return serve_all(server, stream, 1e-7);
+  };
+  // The one-stall session tells where batch #0's second attempt runs.
+  const ServedSession once = session(serve::FaultPlan{{stall}});
+  const serve::StreamResult& retried = once.handles[0].get();
+  ASSERT_TRUE(retried.ok());
+  ASSERT_EQ(retried.attempts, 2);
+  serve::DeviceFault second{0, serve::FaultKind::kStall};
+  second.at_seconds =
+      0.5 * (retried.start_seconds + retried.finish_seconds);
+  second.duration_seconds = 0.05;
+
+  const ServedSession twice = session(serve::FaultPlan{{stall, second}});
+  const serve::StreamResult& r0 = twice.handles[0].get();
+  EXPECT_EQ(r0.error, serve::ServeErrorCode::kRetriesExhausted);
+  EXPECT_EQ(r0.attempts, 2);
+  std::size_t all = 0, served = 0;
+  for (const serve::StreamResult& r : twice.report.requests) {
+    const std::size_t extra =
+        r.attempts > 1 ? static_cast<std::size_t>(r.attempts - 1) : 0;
+    all += extra;
+    if (r.ok()) served += extra;
+  }
+  EXPECT_GE(twice.report.stats.failed, 1u);
+  EXPECT_EQ(twice.report.stats.retries, all);
+  EXPECT_EQ(twice.report.stats.retries, served + 1);  // r0's one retry
 }
 
 TEST(FaultOutcome, CrashRedispatchesToTheSurvivingShard) {

@@ -259,10 +259,10 @@ std::string tensor_image() {
 /// A real snapshot: a small network's kernel maps and downsampled
 /// coordinates, both payload kinds.
 std::string map_cache_image() {
-  std::mt19937_64 rng(13);
+  spnn::BuildContext b(13);
   auto net = std::make_shared<spnn::Sequential>();
-  net->emplace<spnn::ConvBlock>(4, 8, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(8, 8, 2, 2, false, rng);
+  net->emplace<spnn::ConvBlock>(4, 8, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(8, 8, 2, 2, false, b);
   const ModelFn model = [net](const SparseTensor& x, ExecContext& ctx) {
     net->forward(x, ctx);
   };

@@ -2,11 +2,14 @@
 // U-Net wiring, CenterPoint pipeline, dense 2-D substrate.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <random>
 #include <unordered_set>
 
 #include "data/voxelize.hpp"
 #include "engines/presets.hpp"
+#include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "nn/centerpoint.hpp"
 #include "nn/dense2d.hpp"
@@ -52,8 +55,8 @@ TEST(Layers, ReluClampsNegatives) {
 
 TEST(Layers, BatchNormAffine) {
   SparseTensor x = random_tensor(40, 8, 6, 2);
-  std::mt19937_64 rng(3);
-  spnn::BatchNorm bn(6, rng);
+  spnn::BuildContext b(3);
+  spnn::BatchNorm bn(6, b);
   ExecContext ctx = fp32_ctx();
   const SparseTensor y = bn.forward(x, ctx);
   // Affine per channel: equal inputs map to equal outputs; order-preserving
@@ -85,8 +88,8 @@ TEST(Layers, AddAndConcatFeatures) {
 
 TEST(Layers, ResidualBlockPreservesCoordsAndChannels) {
   SparseTensor x = random_tensor(80, 8, 8, 5);
-  std::mt19937_64 rng(6);
-  spnn::ResidualBlock block(8, 16, 3, rng);
+  spnn::BuildContext b(6);
+  spnn::ResidualBlock block(8, 16, 3, b);
   ExecContext ctx = fp32_ctx();
   const SparseTensor y = block.forward(x, ctx);
   EXPECT_EQ(y.coords(), x.coords());
@@ -97,9 +100,9 @@ TEST(Layers, ResidualBlockPreservesCoordsAndChannels) {
 }
 
 TEST(Layers, ConvCollectionFindsAllConvs) {
-  std::mt19937_64 rng(7);
-  spnn::ResidualBlock with_shortcut(8, 16, 3, rng);
-  spnn::ResidualBlock identity(16, 16, 3, rng);
+  spnn::BuildContext b(7);
+  spnn::ResidualBlock with_shortcut(8, 16, 3, b);
+  spnn::ResidualBlock identity(16, 16, 3, b);
   std::vector<spnn::Conv3d*> convs;
   with_shortcut.collect_convs(convs);
   EXPECT_EQ(convs.size(), 3u);  // conv1, conv2, 1x1 shortcut
@@ -108,10 +111,16 @@ TEST(Layers, ConvCollectionFindsAllConvs) {
   EXPECT_EQ(convs.size(), 2u);  // identity shortcut has no conv
 }
 
-TEST(Layers, LayerIdsAreUnique) {
-  std::mt19937_64 rng(8);
-  spnn::Conv3d a(4, 4, 3, 1, false, rng), b(4, 4, 3, 1, false, rng);
-  EXPECT_NE(a.layer_id(), b.layer_id());
+TEST(Layers, LayerIdsAreConstructionOrdinals) {
+  // Ids are structural: numbered per model in construction order, so a
+  // second model built the same way numbers its convs identically.
+  spnn::BuildContext first(8);
+  spnn::Conv3d a(4, 4, 3, 1, false, first), b(4, 4, 3, 1, false, first);
+  EXPECT_EQ(a.layer_id(), 0);
+  EXPECT_EQ(b.layer_id(), 1);
+  spnn::BuildContext second(8);
+  spnn::Conv3d c(4, 4, 3, 1, false, second);
+  EXPECT_EQ(c.layer_id(), 0);
 }
 
 TEST(MinkUNet, ForwardPreservesInputCoordinates) {
@@ -127,6 +136,13 @@ TEST(MinkUNet, ForwardPreservesInputCoordinates) {
   // 4 encoder levels built coordinate sets for strides 2..16.
   for (int s : {1, 2, 4, 8, 16})
     EXPECT_TRUE(x.cache()->coords_at_stride.count(s)) << s;
+}
+
+TEST(MinkUNet, ConvOrdinalsFollowConstructionOrder) {
+  spnn::MinkUNet net(0.25, 4, 19, 11);
+  const std::vector<spnn::Conv3d*> convs = net.convs();
+  for (std::size_t i = 0; i < convs.size(); ++i)
+    EXPECT_EQ(convs[i]->layer_id(), static_cast<int>(i));
 }
 
 TEST(MinkUNet, WidthScalesConvCount) {
@@ -169,8 +185,8 @@ TEST(Dense2d, SparseToBevSumsOverZ) {
 }
 
 TEST(Dense2d, Conv2dChargesDense2DStage) {
-  std::mt19937_64 rng(15);
-  spnn::Conv2d conv(4, 8, rng);
+  spnn::BuildContext b(15);
+  spnn::Conv2d conv(4, 8, b);
   spnn::DenseBEV bev;
   bev.h = bev.w = 16;
   bev.data.resize(4, 256);
@@ -222,6 +238,74 @@ TEST(CenterPoint, DetectionsSortedByScore) {
   const auto out = net.run(x, ctx);
   for (std::size_t i = 1; i < out.detections.size(); ++i)
     EXPECT_GE(out.detections[i - 1].score, out.detections[i].score);
+}
+
+SparseTensor small_scan(uint64_t seed) {
+  LidarSpec spec = semantic_kitti_spec();
+  spec.azimuth_steps = 80;
+  return make_input(spec, segmentation_voxels(), seed);
+}
+
+std::size_t count_drawn(const std::vector<spnn::Conv3d*>& convs) {
+  std::size_t n = 0;
+  for (const spnn::Conv3d* c : convs) n += c->weights_drawn() ? 1 : 0;
+  return n;
+}
+
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(LazyWeights, CostOnlyRunLeavesEveryConvUndrawn) {
+  auto net = std::make_shared<spnn::MinkUNet>(0.25, 4, 19, 20);
+  const ModelFn model = [net](const SparseTensor& x, ExecContext& ctx) {
+    net->forward(x, ctx);
+  };
+  const SparseTensor x = small_scan(21);
+  RunOptions cost_only;  // numerics off, as every bench runs
+  run_model(model, x, rtx2080ti(), torchsparse_config(), cost_only);
+  EXPECT_EQ(count_drawn(net->convs()), 0u);
+
+  RunOptions numeric;
+  numeric.numerics = true;
+  run_model(model, x, rtx2080ti(), torchsparse_config(), numeric);
+  EXPECT_EQ(count_drawn(net->convs()), net->convs().size());
+}
+
+TEST(LazyWeights, CostOnlyDetectorRunLeavesEveryConvUndrawn) {
+  LidarSpec spec = waymo_spec(1);
+  spec.azimuth_steps = 100;
+  VoxelSpec vox = detection_voxels();
+  vox.feature_channels = 5;
+  const SparseTensor x = make_input(spec, vox, 22);
+  spnn::CenterPoint net(5, 23);
+  ExecContext ctx(rtx2080ti(), torchsparse_config());
+  ctx.compute_numerics = false;
+  net.run(x, ctx);
+  EXPECT_EQ(count_drawn(net.convs()), 0u);
+}
+
+TEST(LazyWeights, SameSeedIsBitIdenticalAndSeedsDiffer) {
+  const SparseTensor x = small_scan(24);
+  auto numeric_out = [&](uint64_t seed) {
+    spnn::MinkUNet net(0.25, 4, 19, seed);
+    ExecContext ctx = fp32_ctx();
+    return net.forward(fresh_input(x), ctx).feats();
+  };
+  const Matrix a = numeric_out(25);
+  const Matrix b = numeric_out(25);
+  const Matrix c = numeric_out(26);
+  EXPECT_TRUE(bit_equal(a, b));
+  EXPECT_FALSE(bit_equal(a, c));
+
+  // A cost-only forward first does not perturb what is drawn later.
+  spnn::MinkUNet net(0.25, 4, 19, 25);
+  ExecContext cost = fp32_ctx();
+  cost.compute_numerics = false;
+  net.forward(fresh_input(x), cost);
+  ExecContext ctx = fp32_ctx();
+  EXPECT_TRUE(bit_equal(net.forward(fresh_input(x), ctx).feats(), a));
 }
 
 }  // namespace

@@ -44,12 +44,12 @@ SparseTensor random_tensor(int n, int extent, std::size_t channels,
 /// A small but multi-level model (down + submanifold + up) so request
 /// timelines exercise mapping, movement, and matmul stages.
 ModelFn small_unet(uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  spnn::BuildContext b(seed);
   auto net = std::make_shared<spnn::Sequential>();
-  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, rng);
+  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, b);
+  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, b);
   return [net](const SparseTensor& x, ExecContext& ctx) {
     net->forward(x, ctx);
   };

@@ -62,10 +62,10 @@ SparseTensor combo_input(int i) {
 }
 
 ModelFn tiny_net(uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  spnn::BuildContext b(seed);
   auto net = std::make_shared<spnn::Sequential>();
-  net->emplace<spnn::ConvBlock>(4, 8, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(8, 8, 2, 2, false, rng);
+  net->emplace<spnn::ConvBlock>(4, 8, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(8, 8, 2, 2, false, b);
   return [net](const SparseTensor& x, ExecContext& ctx) {
     net->forward(x, ctx);
   };

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <latch>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -44,12 +47,12 @@ SparseTensor random_tensor(int n, int extent, std::size_t channels,
 /// A small but multi-level model (down + submanifold + up) so request
 /// timelines exercise mapping, movement, and matmul stages.
 ModelFn small_unet(uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  spnn::BuildContext b(seed);
   auto net = std::make_shared<spnn::Sequential>();
-  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, rng);
-  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, rng);
+  net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, b);
+  net->emplace<spnn::ConvBlock>(32, 32, 3, 1, false, b);
+  net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, b);
   return [net](const SparseTensor& x, ExecContext& ctx) {
     net->forward(x, ctx);
   };
@@ -170,6 +173,52 @@ TEST(ScheduleStreamDispatch, BackToBackWithPerBatchOverhead) {
 }
 
 // --- RequestQueue: admission control ----------------------------------
+
+TEST(SharedModel, ConcurrentFirstNumericForwardDrawsWeightsOnce) {
+  // Serving workers share one model. Its conv weights are drawn on the
+  // first numeric forward, so workers racing into that first forward
+  // must all see the same drawn weights.
+  auto build = [] {
+    spnn::BuildContext b(77);
+    auto net = std::make_shared<spnn::Sequential>();
+    net->emplace<spnn::ConvBlock>(4, 16, 3, 1, false, b);
+    net->emplace<spnn::ConvBlock>(16, 32, 2, 2, false, b);
+    net->emplace<spnn::ConvBlock>(32, 16, 2, 2, true, b);
+    return net;
+  };
+  const SparseTensor x = random_tensor(400, 12, 4, 78);
+  auto numeric_forward = [&](spnn::Sequential& net) {
+    ExecContext ctx(rtx2080ti(), torchsparse_config());
+    ctx.compute_numerics = true;
+    return net.forward(fresh_input(x), ctx).feats();
+  };
+  auto reference_net = build();
+  const Matrix reference = numeric_forward(*reference_net);
+
+  auto shared = build();
+  std::vector<spnn::Conv3d*> convs;
+  shared->collect_convs(convs);
+  for (const spnn::Conv3d* c : convs) ASSERT_FALSE(c->weights_drawn());
+
+  constexpr int kWorkers = 4;
+  std::vector<Matrix> outs(kWorkers);
+  std::latch start(kWorkers);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w)
+    workers.emplace_back([&, w] {
+      start.arrive_and_wait();
+      outs[static_cast<std::size_t>(w)] = numeric_forward(*shared);
+    });
+  for (std::thread& t : workers) t.join();
+
+  for (const spnn::Conv3d* c : convs) EXPECT_TRUE(c->weights_drawn());
+  for (const Matrix& out : outs) {
+    ASSERT_EQ(out.size(), reference.size());
+    EXPECT_EQ(std::memcmp(out.data(), reference.data(),
+                          reference.size() * sizeof(float)),
+              0);
+  }
+}
 
 TEST(RequestQueue, RejectsPastConfiguredDepthWithTypedError) {
   serve::QueueOptions qopt;

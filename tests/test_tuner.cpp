@@ -4,6 +4,7 @@
 #include <random>
 
 #include "engines/presets.hpp"
+#include "engines/runner.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "tune/group_tuner.hpp"
@@ -128,6 +129,28 @@ TEST(Tuner, EndToEndTuningImprovesModeledMatmul) {
   const Timeline t_plain = run_model(w.model, w.input, dev, cfg, without);
   EXPECT_LE(t_tuned.stage_seconds(Stage::kMatMul),
             t_plain.stage_seconds(Stage::kMatMul) * 1.02);
+}
+
+TEST(Tuner, TunedParamsTransferToAnotherInstanceOfTheModel) {
+  // Layer ids are per-model construction ordinals, so parameters tuned
+  // on one instance apply to every instance built the same way (the
+  // serving store hands one tuning to any same-named model).
+  Workload a = make_minkunet_workload("a", "SemanticKITTI", 1.0, 1,
+                                      /*seed=*/41, /*scale=*/0.25, 2);
+  Workload b = make_minkunet_workload("b", "SemanticKITTI", 1.0, 1,
+                                      /*seed=*/41, /*scale=*/0.25, 2);
+  const DeviceSpec dev = rtx2080ti();
+  const EngineConfig cfg = torchsparse_config();
+  RunOptions tuned;
+  tuned.tuned = tune_for(a.model, a.tune_samples, dev, cfg);
+  const double untuned_a =
+      run_model(a.model, a.input, dev, cfg, RunOptions{}).total_seconds();
+  const double tuned_a =
+      run_model(a.model, a.input, dev, cfg, tuned).total_seconds();
+  const double tuned_b =
+      run_model(b.model, b.input, dev, cfg, tuned).total_seconds();
+  ASSERT_LT(tuned_a, untuned_a);  // the tuning matters on this workload
+  EXPECT_EQ(tuned_b, tuned_a);
 }
 
 }  // namespace
