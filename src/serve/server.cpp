@@ -1026,11 +1026,18 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
     if (!m.fn)
       throw std::invalid_argument("serve_stream: model '" + m.name +
                                   "' has a null ModelFn");
-  // Tuned-parameter restamping is per-request work on the hot path;
-  // skip it entirely unless some entry actually overrides the store.
-  bool per_model_tuned = false;
-  for (const ModelEntry& m : models)
-    if (!m.tuned.empty()) per_model_tuned = true;
+  // Each model's tuned grouping parameters. Layer ids are per-model
+  // construction ordinals, so one model's (epsilon, S) table applied to
+  // another would regroup the other's convs by position: RunOptions::tuned
+  // is model 0's tuning (as its digest namespace is model 0's), and a
+  // later entry without its own table runs untuned.
+  const std::unordered_map<int, GroupParams> untuned;
+  std::vector<const std::unordered_map<int, GroupParams>*> model_tuned;
+  model_tuned.reserve(models.size());
+  for (std::size_t m = 0; m < models.size(); ++m)
+    model_tuned.push_back(!models[m].tuned.empty() ? &models[m].tuned
+                          : m == 0                 ? &config.run.tuned
+                                                   : &untuned);
   const int workers = std::max(config.workers, 1);
   // A non-empty fleet names the shards explicitly (DeviceGroup bounds
   // it by kMaxModeledDevices); otherwise the group is the one reference
@@ -1079,6 +1086,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
     DeviceSpec shard_dev = config.device;
     shard_dev.device_index = device_index;
     std::optional<ExecContext> ctx;
+    int ctx_model = -1;  // the model whose tuning ctx->tuned holds
     if (context_pool) {
       // Context hand-off: adopt a warm context from a previous session,
       // restamped to this worker's device pool. st.mu doubles as the
@@ -1108,14 +1116,17 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         else
           reset_context(*ctx);
         // Per-request context restamp: every digest this request resolves
-        // lives in its model's namespace, and the model's tuned grouping
-        // parameters (when present) override the config-wide store. Entry
-        // namespace 0 (model 0's space) inherits the RunOptions namespace.
+        // lives in its model's namespace, and its convs group by its
+        // model's tuning (copied only when the worker switches models).
+        // Entry namespace 0 (model 0's space) inherits the RunOptions
+        // namespace.
         ctx->cache_namespace = entry.cache_namespace != 0
                                    ? entry.cache_namespace
                                    : run.cache_namespace;
-        if (per_model_tuned)
-          ctx->tuned = entry.tuned.empty() ? run.tuned : entry.tuned;
+        if (item.model != ctx_model) {
+          ctx->tuned = *model_tuned[static_cast<std::size_t>(item.model)];
+          ctx_model = item.model;
+        }
         if (cached) ctx->cache_events = &item.events;
         // borrow_input: the work item owns the drained tensor and nothing
         // reads it after measurement, so steal it instead of copying.

@@ -87,8 +87,10 @@ struct ModelEntry {
   /// construction rather than by configuration discipline.
   uint64_t cache_namespace = 0;
   /// Per-model tuned grouping parameters (Alg. 5 output, typically from
-  /// a TunedParamStore lookup for this model's workload). Empty (the
-  /// default) inherits RunOptions::tuned.
+  /// a TunedParamStore lookup for this model's workload). Layer ids are
+  /// per-model construction ordinals, so a table tuned for one model
+  /// never applies to another: empty (the default) means RunOptions::tuned
+  /// for model 0 and no tuning for every later model.
   std::unordered_map<int, GroupParams> tuned;
 };
 

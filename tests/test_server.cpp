@@ -17,6 +17,7 @@
 
 #include "engines/presets.hpp"
 #include "engines/runner.hpp"
+#include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/layers.hpp"
@@ -1106,6 +1107,49 @@ TEST(MultiModel, TwoModelSessionSplitsStatsByModel) {
   EXPECT_EQ(report.stats.per_model[0].cache_lookups +
                 report.stats.per_model[1].cache_lookups,
             report.stats.map_cache.lookups);
+}
+
+TEST(MultiModel, RunTunedIsModelZerosTuningOnly) {
+  // Layer ids are per-model ordinals, so model 0's tuning (run.tuned)
+  // would regroup another model's convs by position. Model 1 registers
+  // no tuning of its own and must serve exactly its untuned timelines.
+  const Workload a = make_minkunet_workload("a", "SemanticKITTI", 1.0, 1,
+                                            /*seed=*/41, /*scale=*/0.25, 2);
+  const Workload b = make_minkunet_workload("b", "SemanticKITTI", 0.5, 1,
+                                            /*seed=*/43, /*scale=*/0.25, 1);
+  const DeviceSpec dev = rtx2080ti();
+  const EngineConfig engine = torchsparse_config();
+  RunOptions tuned;
+  tuned.tuned = tune_for(a.model, a.tune_samples, dev, engine);
+  // A's table, applied to B by position, does move B's timeline.
+  ASSERT_NE(run_model(b.model, b.input, dev, engine, tuned).total_seconds(),
+            run_model(b.model, b.input, dev, engine).total_seconds());
+
+  serve::ServerConfig cfg;
+  cfg.with_device(dev)
+      .with_engine(engine)
+      .with_workers(1)  // one context alternates between the models
+      .with_run(tuned)
+      .with_queue_depth(8)
+      .with_model("a", a.model)
+      .with_model("b", b.model);
+  serve::Server server(cfg);
+  server.start();
+  const SparseTensor* inputs[4] = {&a.input, &b.input, &a.tune_samples[0],
+                                   &b.tune_samples[0]};
+  for (int i = 0; i < 4; ++i)
+    server.submit_to(i % 2, *inputs[i], 0.001 * static_cast<double>(i));
+  const serve::StreamReport report = server.drain();
+
+  ASSERT_EQ(report.requests.size(), 4u);
+  for (const serve::StreamResult& r : report.requests) {
+    SCOPED_TRACE("request " + std::to_string(r.id));
+    const Workload& w = r.model == 0 ? a : b;
+    const Timeline serial =
+        run_model(w.model, *inputs[r.id], dev, engine,
+                  r.model == 0 ? tuned : RunOptions{});
+    expect_same_timeline(r.timeline, serial);
+  }
 }
 
 TEST(MultiModel, RegistryAndLifecycleValidation) {
