@@ -13,6 +13,7 @@
 // engines see identical inputs, so relative results are unaffected.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ struct LidarSpec {
   int num_vehicles = 24;
   int num_walls = 10;
   double dropout = 0.08;          // fraction of rays returning nothing
-  double range_noise_m = 0.006;
+  double range_noise_m = 0.006;   // range noise stddev (0 = none)
   int frames = 1;                 // multi-frame aggregation count
   double ego_speed_mps = 5.0;     // ego motion between frames
   double frame_dt_s = 0.1;
@@ -57,9 +58,34 @@ LidarSpec waymo_spec(int frames);
 VoxelSpec segmentation_voxels();  // 0.05 m, MinkUNet configs
 VoxelSpec detection_voxels();     // 0.1 m, CenterPoint configs
 
+/// Upper bound on beams * azimuth_steps * frames for one scan (the point
+/// buffer reserves one Point3 per ray, 1.25 GiB at the cap).
+inline constexpr std::size_t kMaxScanRays = std::size_t{1} << 26;
+
 /// Generates one (possibly multi-frame aggregated) scan. Deterministic in
 /// `seed`; different seeds give different scenes (the "samples" of the
 /// paper's tuning subset).
+///
+/// Each ray takes the nearest hit among the ground plane and every scene
+/// box. The result is computed with azimuth culling, under a contract
+/// that keeps every output byte equal to the exhaustive every-box loop:
+/// - *Conservative.* Per frame, each box is binned into the azimuth
+///   columns whose rays can cross its xy footprint, padded by at least
+///   one column and wrapped at 0/2pi; a box whose (slightly grown)
+///   footprint contains the ray origin is in every column. A skipped box
+///   would have returned "no hit", and the min over hits is order-free,
+///   so the nearest hit is bit-identical. Near-vertical beams
+///   (cos(pitch) < 1e-3) test every box.
+/// - *Same directions.* Each column's cos/sin(yaw) comes from a table
+///   filled with the per-ray expression (yaw in double, then cast).
+/// - *Same RNG order.* Every ray draws its dropout uniform first; a ray
+///   whose hit is in range then draws its range noise (scaled by 0 when
+///   range_noise_m is 0) and then its intensity uniform.
+///
+/// Throws std::invalid_argument when beams, azimuth_steps or frames is
+/// not positive, their product exceeds kMaxScanRays, num_vehicles or
+/// num_walls is negative, dropout is outside [0, 1], or max_range_m or
+/// range_noise_m is negative or not finite.
 std::vector<Point3> generate_scan(const LidarSpec& spec, uint64_t seed);
 
 }  // namespace ts

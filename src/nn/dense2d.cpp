@@ -52,6 +52,50 @@ Conv2d::Conv2d(int c_in, int c_out, BuildContext& b, bool relu)
       seed_(b.next_seed()),
       weight_(std::make_unique<LazyWeights<Matrix>>()) {}
 
+void conv3x3_numeric(const DenseBEV& x, const Matrix& weight, bool relu,
+                     Matrix& out) {
+  const auto h = static_cast<std::size_t>(x.h);
+  const auto w = static_cast<std::size_t>(x.w);
+  const std::size_t c_in = x.data.rows();
+  const std::size_t c_out = weight.cols();
+  if (h == 0 || w == 0) return;
+  for (std::size_t co = 0; co < c_out; ++co) {
+    float* out_co = out.row(co);
+    std::fill(out_co, out_co + h * w, 0.0f);
+    // One output row at a time, so it stays in L1 while each (tap, ci)
+    // adds a contiguous, vectorizable span of an input row to it.
+    for (std::size_t yy = 0; yy < h; ++yy) {
+      float* acc = out_co + yy * w;
+      std::size_t tap = 0;
+      for (int dy = -1; dy <= 1; ++dy) {
+        const std::size_t sy = yy + static_cast<std::size_t>(dy);
+        if (sy >= h) {  // also catches yy + dy == -1, which wraps
+          tap += 3;
+          continue;
+        }
+        for (int dx = -1; dx <= 1; ++dx, ++tap) {
+          // Outputs [x0, x1) read input columns [x0 + dx, x1 + dx); the
+          // edge column whose source falls outside is skipped.
+          const std::size_t x0 = dx < 0 ? 1 : 0;
+          const std::size_t x1 = dx > 0 ? w - 1 : w;
+          if (x0 >= x1) continue;
+          const std::size_t n = x1 - x0;
+          const std::size_t src0 = sy * w + x0 + static_cast<std::size_t>(dx);
+          float* dst = acc + x0;
+          for (std::size_t ci = 0; ci < c_in; ++ci) {
+            const float wv = weight.at(tap * c_in + ci, co);
+            const float* src = x.data.row(ci) + src0;
+            for (std::size_t k = 0; k < n; ++k) dst[k] += src[k] * wv;
+          }
+        }
+      }
+      if (relu)
+        for (std::size_t xx = 0; xx < w; ++xx)
+          acc[xx] = std::max(0.0f, acc[xx]);
+    }
+  }
+}
+
 DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
   DenseBEV y;
   y.h = x.h;
@@ -78,36 +122,7 @@ DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
       return random_weight(static_cast<std::size_t>(9 * c_in_),
                            static_cast<std::size_t>(c_out_), rng, scale);
     });
-    // Direct 3x3 convolution (numerics identical to im2col+GEMM).
-    for (int co = 0; co < c_out_; ++co) {
-      float* out = y.data.row(static_cast<std::size_t>(co));
-      for (int yy = 0; yy < x.h; ++yy) {
-        for (int xx = 0; xx < x.w; ++xx) {
-          float acc = 0.0f;
-          int tap = 0;
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx, ++tap) {
-              const int sy = yy + dy, sx = xx + dx;
-              if (sy < 0 || sy >= x.h || sx < 0 || sx >= x.w) continue;
-              const std::size_t cell =
-                  static_cast<std::size_t>(sy) *
-                      static_cast<std::size_t>(x.w) +
-                  static_cast<std::size_t>(sx);
-              const std::size_t wrow0 =
-                  static_cast<std::size_t>(tap) *
-                  static_cast<std::size_t>(c_in_);
-              for (int ci = 0; ci < c_in_; ++ci)
-                acc += x.data.at(static_cast<std::size_t>(ci), cell) *
-                       weight.at(wrow0 + static_cast<std::size_t>(ci),
-                                 static_cast<std::size_t>(co));
-            }
-          }
-          out[static_cast<std::size_t>(yy) * static_cast<std::size_t>(x.w) +
-              static_cast<std::size_t>(xx)] =
-              relu_ ? std::max(0.0f, acc) : acc;
-        }
-      }
-    }
+    conv3x3_numeric(x, weight, relu_, y.data);
   }
   return y;
 }

@@ -48,6 +48,15 @@ class Conv2d {
   std::unique_ptr<LazyWeights<Matrix>> weight_;  // [9*c_in, c_out]
 };
 
+/// The numerics of Conv2d: a zero-padded 3x3 convolution of `x` with
+/// `weight` ([9*c_in, c_out], row tap*c_in + ci, taps in (dy, dx)
+/// row-major order), then an optional ReLU, written to `out` (c_out rows
+/// of x.h*x.w cells). Every output sums its in-bounds taps in (dy, dx)
+/// order and, within a tap, input channels in ascending order, as the
+/// direct per-output loop does, so the floats are identical to it.
+void conv3x3_numeric(const DenseBEV& x, const Matrix& weight, bool relu,
+                     Matrix& out);
+
 /// An axis-aligned BEV detection box.
 struct Detection {
   float x = 0, y = 0;      // center, in BEV cells

@@ -152,11 +152,26 @@ void expect_same_counters(const CacheSim& c, const ReferenceLru& r,
 /// Replays `steps` seeded accesses through both caches, asserting equal
 /// return values and counters after every access. Addresses span a few
 /// times the capacity (so sets both hit and thrash), are unaligned, and
-/// cover up to three lines; roughly a third are writes.
+/// cover up to three lines; roughly a third are writes. With
+/// `range_touches`, a quarter of the accesses are instead long range
+/// touches (like matmul_touch's slab sweeps) of 0.5-5x the capacity,
+/// half of them writes.
 void replay_against_reference(CacheSim& c, ReferenceLru& r,
                               std::mt19937_64& rng, std::size_t capacity,
-                              std::size_t line, std::size_t steps) {
+                              std::size_t line, std::size_t steps,
+                              bool range_touches = false) {
   for (std::size_t i = 0; i < steps; ++i) {
+    if (range_touches && rng() % 4 == 0) {
+      const uint64_t addr = rng() % (8 * capacity);
+      const std::size_t bytes =
+          capacity / 2 + rng() % (4 * capacity + capacity / 2 + 1);
+      const bool is_write = rng() % 2 == 0;
+      ASSERT_EQ(c.access(addr, bytes, is_write),
+                r.access(addr, bytes, is_write))
+          << "step " << i << " range addr " << addr << " bytes " << bytes;
+      expect_same_counters(c, r, i);
+      continue;
+    }
     // Mostly a hot quarter of the span, so LRU order is exercised.
     const uint64_t span = rng() % 4 == 0 ? 4 * capacity : capacity / 4 + 1;
     const uint64_t addr = rng() % span;
@@ -186,6 +201,12 @@ TEST(CacheSim, MatchesNaiveLruReference) {
       r.reset();
       expect_same_counters(c, r, 0);
       replay_against_reference(c, r, rng, capacity, line, 4000);
+      // Long range touches mixed with row touches: the sweeps evict the
+      // hot rows, and dirty lines they leave behind are written back.
+      const std::size_t before = c.writebacks();
+      replay_against_reference(c, r, rng, capacity, line, 400,
+                               /*range_touches=*/true);
+      ASSERT_GT(c.writebacks(), before);
     }
   }
 }

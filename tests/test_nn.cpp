@@ -198,6 +198,72 @@ TEST(Dense2d, Conv2dChargesDense2DStage) {
   EXPECT_GT(ctx.timeline.stage_seconds(Stage::kDense2D), 0.0);
 }
 
+/// The direct per-output 3x3 loop Conv2d used to run: for each output,
+/// taps in (dy, dx) order, then input channels ascending. Kept as the
+/// reference conv3x3_numeric must match bit for bit.
+Matrix direct_conv3x3(const spnn::DenseBEV& x, const Matrix& weight,
+                      bool relu) {
+  const int c_in = x.channels();
+  const int c_out = static_cast<int>(weight.cols());
+  Matrix out(static_cast<std::size_t>(c_out),
+             static_cast<std::size_t>(x.h * x.w));
+  for (int co = 0; co < c_out; ++co) {
+    for (int yy = 0; yy < x.h; ++yy) {
+      for (int xx = 0; xx < x.w; ++xx) {
+        float acc = 0.0f;
+        int tap = 0;
+        for (int dy = -1; dy <= 1; ++dy) {
+          for (int dx = -1; dx <= 1; ++dx, ++tap) {
+            const int sy = yy + dy, sx = xx + dx;
+            if (sy < 0 || sy >= x.h || sx < 0 || sx >= x.w) continue;
+            const auto cell = static_cast<std::size_t>(sy * x.w + sx);
+            for (int ci = 0; ci < c_in; ++ci)
+              acc += x.data.at(static_cast<std::size_t>(ci), cell) *
+                     weight.at(static_cast<std::size_t>(tap * c_in + ci),
+                               static_cast<std::size_t>(co));
+          }
+        }
+        out.at(static_cast<std::size_t>(co),
+               static_cast<std::size_t>(yy * x.w + xx)) =
+            relu ? std::max(0.0f, acc) : acc;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Dense2d, Conv3x3MatchesDirectLoopBitForBit) {
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<float> val(-1.0f, 1.0f);
+  const int shapes[][2] = {{1, 1}, {1, 7}, {7, 1}, {5, 9}, {9, 5}, {13, 11}};
+  for (const auto& hw : shapes) {
+    for (const int c_in : {1, 5}) {
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(std::to_string(hw[0]) + "x" + std::to_string(hw[1]) +
+                     " c_in " + std::to_string(c_in) +
+                     (relu ? " relu" : ""));
+        spnn::DenseBEV x;
+        x.h = hw[0];
+        x.w = hw[1];
+        x.data.resize(static_cast<std::size_t>(c_in),
+                      static_cast<std::size_t>(x.h * x.w));
+        for (std::size_t i = 0; i < x.data.size(); ++i)
+          x.data.data()[i] = val(rng);
+        const std::size_t c_out = 3;
+        Matrix weight(9 * static_cast<std::size_t>(c_in), c_out);
+        for (std::size_t i = 0; i < weight.size(); ++i)
+          weight.data()[i] = val(rng);
+        Matrix got(c_out, x.data.cols(), 7.0f);  // overwritten, not summed
+        spnn::conv3x3_numeric(x, weight, relu, got);
+        const Matrix want = direct_conv3x3(x, weight, relu);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
 TEST(Dense2d, IoUProperties) {
   spnn::Detection a{10, 10, 2, 2, 1.0f};
   EXPECT_FLOAT_EQ(spnn::bev_iou(a, a), 1.0f);
